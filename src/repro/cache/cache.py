@@ -21,11 +21,33 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cache.directory import ReplicationDirectory
-from repro.cache.replacement import make_policy
+from repro.cache.replacement import policy_factory
 
 
 def _is_pow2(x: int) -> bool:
     return x > 0 and (x & (x - 1)) == 0
+
+
+class _LazySets(dict):
+    """Set index -> replacement-policy object, built on first touch.
+
+    A full system has thousands of cache sets (every L1 and L2 slice),
+    most of which a short run never touches; building one policy object
+    per set up front dominated system wiring.  ``__missing__`` keeps the
+    ``sets[index]`` lookup shape of a list, so every call site (the
+    fused L1 probe included) indexes it unchanged.  Only touched sets
+    are present, so iterate ``.values()`` to visit resident lines.
+    """
+
+    __slots__ = ("_factory",)
+
+    def __init__(self, factory) -> None:
+        super().__init__()
+        self._factory = factory
+
+    def __missing__(self, index: int):
+        policy = self[index] = self._factory()
+        return policy
 
 
 class CacheStats:
@@ -167,7 +189,7 @@ class SetAssociativeCache:
         self.directory = directory
         self.perfect = perfect
         self.policy_name = policy
-        self._sets = [make_policy(policy) for _ in range(num_sets)]
+        self._sets = _LazySets(policy_factory(policy))
         self.stats = CacheStats()
         # SimSanitizer hook: when a ResourceLedger is attached, installs
         # are checked against the set's associativity *at install time*
@@ -188,7 +210,7 @@ class SetAssociativeCache:
 
     def occupancy(self) -> int:
         """Number of lines currently resident."""
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets.values())
 
     # -- functional accesses ---------------------------------------------
 
@@ -271,13 +293,12 @@ class SetAssociativeCache:
     def flush(self) -> int:
         """Invalidate everything; returns the number of lines dropped."""
         dropped = 0
-        for set_idx, s in enumerate(self._sets):
+        for s in self._sets.values():
             for line in list(s.lines()):
                 if s.remove(line):
                     dropped += 1
                     if self.directory is not None:
                         self.directory.on_evict(line, self.cache_id)
-            del set_idx
         return dropped
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

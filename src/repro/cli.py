@@ -138,6 +138,7 @@ def _cmd_profile(args) -> int:
             "design": args.design.label,
             "scale": args.scale,
             "alloc_traced": bool(args.alloc),
+            "production_tier": prof.production_tier,
             "total_events": prof.total_events,
             "total_self_s": prof.total_self_time,
             "wall_time_s": res.wall_time_s,
@@ -157,6 +158,13 @@ def _cmd_profile(args) -> int:
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
     print(f"{app.name} @ {args.design.label}, scale {args.scale:g}")
+    if prof.production_tier == "fused":
+        print("dispatch: fused in production; the per-handler table was "
+              "taken on scalar dispatch (the profiler outranks batched "
+              "dispatch)")
+    else:
+        print(f"dispatch: {prof.production_tier} (the production path; "
+              "this table measured it)")
     print(prof.render(top=args.top))
     print(
         f"sim: ipc={res.ipc:.2f} cycles={res.cycles:.0f} "

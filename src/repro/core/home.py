@@ -30,14 +30,6 @@ from repro.core.clusters import ClusterGeometry
 FAST_PATH_PAIRS = [
     ("HomeMapper.make_fast_home_of", "HomeMapper.home_of", "closure",
      {"inline_helpers": ["range_of_line"]}),
-    # SimVec array twin: the same three specialized closures, evaluated
-    # elementwise over NumPy int64 arrays (``//``/``%``/``>>``/``&`` on
-    # int64 are bit-exact vs Python ints for the non-negative operands
-    # used here).  The closures never import NumPy — they are pure
-    # operator code over whatever array type is passed in — so structural
-    # equivalence is delegated to the fingerprint-identity tests.
-    ("HomeMapper.make_fast_home_of_batch", "HomeMapper.home_of",
-     "delegated", {}),
 ]
 
 
@@ -92,30 +84,6 @@ class HomeMapper:
             def home_of(core_id: int, line: int) -> int:
                 return (core_id // n) * m + line % m
         return home_of
-
-    def make_fast_home_of_batch(self) -> Callable:
-        """Array twin of :meth:`make_fast_home_of` (SimVec).
-
-        Returns ``home_of_batch(core_ids, lines) -> homes`` where the
-        arguments are parallel NumPy integer arrays and the result is the
-        elementwise :meth:`home_of`.  The closure bodies are the same
-        expressions as the scalar fast closures — integer ``//``, ``%``,
-        ``>>`` and ``&`` on int64 arrays produce bit-identical values to
-        Python ints for non-negative core ids and line indices.
-        """
-        m, n = self._m, self._n
-        if m == 1:
-            def home_of_batch(core_ids, lines):
-                return core_ids // n
-        elif self.strategy == "bits":
-            shift, mask = self.bit_shift, m - 1
-
-            def home_of_batch(core_ids, lines):
-                return (core_ids // n) * m + ((lines >> shift) & mask)
-        else:
-            def home_of_batch(core_ids, lines):
-                return (core_ids // n) * m + lines % m
-        return home_of_batch
 
     def homes_of_line(self, line: int):
         """All DC-L1 nodes across clusters that may hold ``line``."""

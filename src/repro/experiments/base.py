@@ -283,27 +283,40 @@ class Runner:
         return profile, cfg
 
     # -- the three result layers -------------------------------------------
+    #
+    # ``key`` is the point's sim_cache_key when the caller already holds
+    # it (run_many's pre-flight); otherwise it is derived here, and only
+    # when a disk layer needs it.
 
-    def _disk_get(self, point: tuple) -> Optional[SimResult]:
+    def _disk_get(
+        self, point: tuple, key: Optional[str] = None
+    ) -> Optional[SimResult]:
         if self.disk_cache is None:
             return None
-        return self.disk_cache.get(sim_cache_key(*point))
+        return self.disk_cache.get(sim_cache_key(*point) if key is None else key)
 
-    def _disk_put(self, point: tuple, result: SimResult) -> None:
+    def _disk_put(
+        self, point: tuple, result: SimResult, key: Optional[str] = None
+    ) -> None:
         if self.disk_cache is not None:
-            self.disk_cache.put(sim_cache_key(*point), result)
+            self.disk_cache.put(
+                sim_cache_key(*point) if key is None else key, result
+            )
 
-    def _lookup(self, point: tuple) -> Optional[SimResult]:
+    def _lookup(
+        self, point: tuple, key: Optional[str] = None
+    ) -> Optional[SimResult]:
         """Memory layer, then disk layer (promoting disk hits to memory)."""
         result = self._cache.get(point)
         if result is None:
-            result = self._disk_get(point)
+            result = self._disk_get(point, key)
             if result is not None:
                 self._cache[point] = result
         return result
 
     def _store_miss(
-        self, point: tuple, result: SimResult, persist: bool = True
+        self, point: tuple, result: SimResult, persist: bool = True,
+        key: Optional[str] = None,
     ) -> None:
         self._cache[point] = result
         self.sims_run += 1
@@ -312,7 +325,7 @@ class Runner:
         if persist:
             # Slim-transported results were already persisted by the
             # worker (persist=False skips the redundant disk write).
-            self._disk_put(point, result)
+            self._disk_put(point, result, key)
 
     # -- public API ---------------------------------------------------------
 
@@ -406,7 +419,7 @@ class Runner:
         key_of: Dict[tuple, str] = {}
         for i, (point, key) in enumerate(zip(resolved, keys)):
             key_of.setdefault(point, key)
-            hit = self._lookup(point)
+            hit = self._lookup(point, key)
             if hit is not None:
                 results[i] = hit
             else:
@@ -432,7 +445,9 @@ class Runner:
                 fresh = [(p, _simulate_point(p), True) for p in misses]
             self.sweep_paths[path] = self.sweep_paths.get(path, 0) + 1
             for point, result, persist in fresh:
-                self._store_miss(point, result, persist=persist)
+                self._store_miss(
+                    point, result, persist=persist, key=key_of[point]
+                )
                 for i in pending[point]:
                     results[i] = result
         return results  # type: ignore[return-value]

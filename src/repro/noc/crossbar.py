@@ -23,11 +23,6 @@ from repro.sim.resources import ServerGroup
 # per ``.reserve(`` call in the slow twin.
 FAST_PATH_PAIRS = [
     ("Crossbar.traverse_fast", "Crossbar.traverse", "inline", {}),
-    # SimVec batched traversal: per-item arithmetic identical to
-    # traverse_fast, one frame per batch.  The loop shape defeats the
-    # inline template matcher, so equivalence is delegated to the
-    # differential confirmer and the fingerprint-identity tests.
-    ("Crossbar.traverse_run_fast", "Crossbar.traverse", "delegated", {}),
 ]
 
 
@@ -108,36 +103,6 @@ class Crossbar:
         p.busy_cycles += occupancy
         p.num_served += 1
         return start + occupancy + p.latency
-
-    def traverse_run_fast(self, times, in_id, out_id, flits, out) -> None:
-        """Batched :meth:`traverse_fast` over parallel sequences.
-
-        Sends one ``flits``-flit packet from ``in_id[i]`` to ``out_id[i]``
-        arriving at ``times[i]`` for every ``i``, in order, appending each
-        completion time to ``out``.  Per item the arithmetic is exactly
-        :meth:`traverse_fast`; only the call overhead is amortized to one
-        frame per batch (SimVec).  Order matters and is preserved — port
-        ``next_free`` chains evolve identically to sequential calls.
-        """
-        inp = self._in
-        outp = self._out
-        self.flit_hops += flits * len(times)
-        append = out.append
-        for i, now in enumerate(times):
-            p = inp[in_id[i]]
-            start = now if now > p.next_free else p.next_free
-            occupancy = p.service * flits
-            p.next_free = start + occupancy
-            p.busy_cycles += occupancy
-            p.num_served += 1
-            t_in = start + occupancy + p.latency
-            p = outp[out_id[i]]
-            start = t_in if t_in > p.next_free else p.next_free
-            occupancy = p.service * flits
-            p.next_free = start + occupancy
-            p.busy_cycles += occupancy
-            p.num_served += 1
-            append(start + occupancy + p.latency)
 
     def inject_out(self, now: float, out_port: int, flits: int) -> float:
         """Reserve only the output port (for direct-link degenerate cases)."""

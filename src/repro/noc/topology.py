@@ -43,11 +43,6 @@ FAST_PATH_PAIRS = [
      ("NoCTopology.core_to_dcl1", "NoCTopology.dcl1_to_core",
       "NoCTopology.to_l2", "NoCTopology.from_l2"),
      "delegated", {}),
-    # SimVec batched request route (core -> DC-L1 home): one call per
-    # batch of same-cycle issues; per-item timing identical to the
-    # scalar fast route by construction.
-    ("NoCTopology.make_batch_routes", "NoCTopology.core_to_dcl1",
-     "delegated", {}),
 ]
 
 
@@ -286,47 +281,6 @@ class NoCTopology:
                 return noc2_rep_xb.traverse_fast(now, l2_slice, dst, flits)
 
         return core_to_dcl1, dcl1_to_core, to_l2, from_l2
-
-    def make_batch_routes(self):
-        """Build the SimVec batched request route, or ``None``.
-
-        Returns ``core_to_dcl1_batch(times, core_ids, dcl1_ids, flits,
-        out)``: traverse NoC#1 for item ``i`` departing at ``times[i]``,
-        appending each arrival time to ``out`` in order — exactly
-        equivalent to one :meth:`core_to_dcl1` fast-route call per item,
-        with the per-design port arithmetic resolved once and the
-        traversals delegated to one
-        :meth:`~repro.noc.crossbar.Crossbar.traverse_run_fast` call when
-        the design has a single NoC#1 crossbar (every single-cluster
-        design: the port indices *are* the core/node ids).  Multi-cluster
-        designs fall back to a per-item loop over the scalar fast route.
-        ``None`` for designs with no NoC#1 (BASELINE/CDXBAR), mirroring
-        :meth:`make_fast_routes`.
-        """
-        if not self.noc1_req:
-            return None
-        geo = self.geometry
-        n, m = geo.cores_per_cluster, geo.dcl1_per_cluster
-        if len(self.noc1_req) == 1 and n == self.num_cores:
-            # Single cluster: core_id % n == core_id and dcl1_id % m ==
-            # dcl1_id (ids are already cluster-local), so the id lists
-            # are the port-index lists.
-            req_xb = self.noc1_req[0]
-
-            def core_to_dcl1_batch(times, core_ids, dcl1_ids, flits, out):
-                req_xb.traverse_run_fast(times, core_ids, dcl1_ids, flits, out)
-        else:
-            req_xbs = self.noc1_req
-
-            def core_to_dcl1_batch(times, core_ids, dcl1_ids, flits, out):
-                append = out.append
-                for i, t in enumerate(times):
-                    core_id = core_ids[i]
-                    append(req_xbs[core_id // n].traverse_fast(
-                        t, core_id % n, dcl1_ids[i] % m, flits
-                    ))
-
-        return core_to_dcl1_batch
 
     # -- metrics ----------------------------------------------------------------
 

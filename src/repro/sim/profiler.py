@@ -66,6 +66,11 @@ class EventProfiler:
         # Total wall time spent inside the profiled drain loop (includes
         # heap churn and dispatch overhead, not just handler bodies).
         self.wall_time = 0.0
+        # Dispatch tier an unprofiled run of the same system takes
+        # (GPUSystem.dispatch_tier; set by profile_simulation).  The
+        # engine ranks the profiler above batched dispatch, so the
+        # profiled drain itself always dispatches one event at a time.
+        self.production_tier: Optional[str] = None
 
     @property
     def total_events(self) -> int:
@@ -154,9 +159,10 @@ def profile_simulation(workload, spec, config=None, clock=None,
     """Run one simulation under the profiler.
 
     Returns ``(result, profiler)``; the result's fingerprint is
-    bit-identical to an unprofiled run of the same config.  Imports the
-    system lazily — the profiler itself has no simulator dependencies, so
-    the engine can import this module without a cycle.
+    bit-identical to an unprofiled run of the same config, and
+    ``profiler.production_tier`` names the dispatch tier that run takes.
+    Imports the system lazily — the profiler itself has no simulator
+    dependencies, so the engine can import this module without a cycle.
 
     ``trace_alloc=True`` additionally attributes net heap allocation to
     each handler via :mod:`tracemalloc` (started/stopped here; substantial
@@ -167,6 +173,7 @@ def profile_simulation(workload, spec, config=None, clock=None,
 
     system = GPUSystem(workload, spec, config)
     profiler = EventProfiler(clock, trace_alloc=trace_alloc)
+    profiler.production_tier = system.dispatch_tier
     system.engine.attach_profiler(profiler)
     if trace_alloc:
         import tracemalloc

@@ -28,13 +28,6 @@ from __future__ import annotations
 # hooks) is removed.
 FAST_PATH_PAIRS = [
     ("Server.reserve_fast", "Server.reserve", "lockstep", {}),
-    # SimVec batched reservations: one call per *batch* of transactions,
-    # arithmetic in lockstep with Server.reserve per item.  Structural
-    # equivalence is delegated to the differential confirmer and the
-    # fingerprint-identity tests (the loop shape defeats statement-level
-    # matching); SH603/SH604 wiring checks still apply.
-    ("reserve_run_fast", "Server.reserve", "delegated", {}),
-    ("reserve_run_fast_sized", "Server.reserve", "delegated", {}),
 ]
 
 
@@ -147,50 +140,6 @@ class Server:
             f"Server({self.name!r}, service={self.service}, latency={self.latency}, "
             f"served={self.num_served})"
         )
-
-
-def reserve_run_fast(servers, indices, now, out) -> None:
-    """Batched :meth:`Server.reserve_fast` for unit-size transactions.
-
-    Reserves ``servers[indices[i]]`` for a transaction arriving at ``now``
-    for every ``i``, in order, appending each completion time to ``out``.
-    One Python frame per *batch* instead of one per transaction — the
-    SimVec twin of a loop of ``reserve_fast(now)`` calls.
-
-    The arithmetic must stay in lockstep with :meth:`Server.reserve`:
-    per item it is exactly ``reserve_fast(now, 1.0)`` (``service * 1.0``
-    is ``service`` bit-for-bit under IEEE-754, so the multiply is elided).
-    Repeated indices are well-defined — each reservation sees the
-    ``next_free`` its predecessor wrote, identical to sequential calls.
-    """
-    append = out.append
-    for idx in indices:
-        srv = servers[idx]
-        nf = srv.next_free
-        start = now if now > nf else nf
-        occupancy = srv.service
-        srv.next_free = start + occupancy
-        srv.busy_cycles += occupancy
-        srv.num_served += 1
-        append(start + occupancy + srv.latency)
-
-
-def reserve_run_fast_sized(servers, indices, now, sizes, out) -> None:
-    """Batched :meth:`Server.reserve_fast` with a per-transaction size.
-
-    Same contract as :func:`reserve_run_fast` with ``sizes[i]`` service
-    units for item ``i`` (e.g. issue-port occupancies of ``1 + gap``).
-    """
-    append = out.append
-    for i, idx in enumerate(indices):
-        srv = servers[idx]
-        nf = srv.next_free
-        start = now if now > nf else nf
-        occupancy = srv.service * sizes[i]
-        srv.next_free = start + occupancy
-        srv.busy_cycles += occupancy
-        srv.num_served += 1
-        append(start + occupancy + srv.latency)
 
 
 class ServerGroup:

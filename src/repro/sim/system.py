@@ -41,6 +41,9 @@ the fast/slow split once, at build time:
 * Result counters are batched into plain integer attributes and flushed
   once, in ``_collect`` — nothing reads them mid-run (the live audit
   inspects structural state only).
+* Every design drains on scalar dispatch; only the single-cluster Sh40
+  shape adds batch twins on top (the fused closures of
+  ``_make_spec_twins``).  ``dispatch_tier`` names the tier taken.
 
 Every specialization preserves arithmetic exactly; the fingerprint
 identity of fast vs. instrumented runs is enforced by
@@ -71,24 +74,11 @@ from repro.mem.interleave import AddressMap
 from repro.mem.l2 import L2Slice
 from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
-from repro.sim.resources import Server, reserve_run_fast, reserve_run_fast_sized
+from repro.sim.resources import Server
 from repro.sim.results import SimResult
 from repro.sim.watchdog import StallWatchdog, build_wait_graph
 from repro.workloads.generator import Workload, generate_workload
 from repro.workloads.profile import AppProfile
-
-# NumPy backs the SimVec vector phase (batched issue math); the scalar
-# per-item fallback below produces identical Python ints, so the batched
-# core degrades gracefully when NumPy is absent.
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - toolchain always ships numpy
-    _np = None
-
-# Below this batch size the NumPy round-trip (array build + .tolist())
-# costs more than the pure-Python loop it replaces; both compute
-# identical ints, so the threshold is a pure perf knob.
-_VEC_MIN = 8
 
 # Access kinds as plain ints: streams already deliver ints (see
 # Wavefront.next_access) and IntEnum comparisons cost an extra call on
@@ -106,19 +96,14 @@ _BYPASS = int(AccessKind.BYPASS)
 FAST_PATH_PAIRS = [
     ("GPUSystem._issue_load_fast", "GPUSystem._issue_cold", "specialized",
      {"slow_only_counters": ["_n_stores", "_n_atomics", "_n_bypasses"]}),
-    # SimVec batch twins: each drains one same-(time, priority) run of
-    # its scalar handler as a single call, preserving per-event effect
-    # and schedule-call order exactly.  The loop/phase structure defeats
-    # statement-level matching, so equivalence is delegated to the
-    # differential confirmer (force_scalar_dispatch) and the
-    # fingerprint-identity tests; SH603/SH604 wiring checks still apply.
-    ("GPUSystem._wf_issue_batch", "GPUSystem._wf_issue", "delegated", {}),
-    ("GPUSystem._l1_access_batch", "GPUSystem._l1_access", "delegated", {}),
-    ("GPUSystem._complete_batch", "GPUSystem._complete", "delegated", {}),
-    # Fused single-cluster specializations of the issue/L1 batch twins:
-    # the factory resolves every per-design decision at wiring time and
-    # its closures inline the reservation/traversal/probe/push blocks
-    # (each mirroring its canonical twin statement for statement).
+    # SimVec fused batch twins for the single-cluster shape: each closure
+    # drains one same-(time, priority) run of its scalar handler as a
+    # single call, with every per-design decision resolved at wiring time
+    # and the reservation/traversal/probe/push blocks inlined (each
+    # mirroring its canonical twin statement for statement).  The loop
+    # structure defeats statement-level matching, so equivalence is
+    # delegated to the differential confirmer (force_scalar_dispatch) and
+    # the fingerprint-identity tests; SH603/SH604 wiring checks still apply.
     ("GPUSystem._make_spec_twins",
      ("GPUSystem._wf_issue", "GPUSystem._l1_access", "GPUSystem._complete"),
      "delegated", {}),
@@ -257,38 +242,6 @@ class GPUSystem:
             self._rt_from_l2 = self.topo.from_l2
             self._l1_reserve = None
             self._l2_reserve = None
-        # SimVec batched dispatch (see docs/performance.md): registered
-        # only on uninstrumented runs — instrumented drains outrank it in
-        # the engine anyway, and the scalar twins are the ground truth the
-        # batch twins are checked against (force_scalar_dispatch).
-        self._vec = self._fast and not self._force_scalar
-        eng = self.engine
-        eng.clear_batch_handlers()
-        self._home_of_batch = None
-        self._rt_c2d_batch = None
-        if self._vec:
-            if self.decoupled:
-                self._home_of_batch = self.home.make_fast_home_of_batch()
-            self._rt_c2d_batch = self.topo.make_batch_routes()
-            self._issue_ports = [c.issue_port for c in self.cores]
-            eng.register_batch_handler(self._wf_issue, self._wf_issue_batch)
-            eng.register_batch_handler(self._l1_access, self._l1_access_batch)
-            eng.register_batch_handler(self._complete, self._complete_batch)
-        # Pooled scratch buffers for the batch twins: allocated once here
-        # so the hot bodies never construct containers (SimHeat SH611);
-        # cleared and refilled per batch.
-        self._vb_lines: list = []
-        self._vb_kinds: list = []
-        self._vb_cores: list = []
-        self._vb_sizes: list = []
-        self._vb_addrs: list = []
-        self._vb_l2s: list = []
-        self._vb_mcs: list = []
-        self._vb_homes: list = []
-        self._vb_ts: list = []
-        self._vb_arr: list = []
-        self._vb_idx: list = []
-        self._vb_pend: list = []
         # MemoryRequest free list — only recycled on uninstrumented runs
         # (the ledger keys live holds and hop traces by id(request)).
         self._req_pool: List[MemoryRequest] = []
@@ -303,16 +256,29 @@ class GPUSystem:
         self._n_bypassed_fills = 0
         self._rtt_sum = 0.0
         self._rtt_count = 0
-        # Specialized fused twins (see _make_spec_twins) override the
-        # generic registrations for the single-cluster fast shape.  Must
-        # resolve last: the closures capture the pool and scratch state
-        # rebuilt above.
-        if self._vec:
-            spec = self._make_spec_twins()
-            if spec is not None:
-                eng.register_batch_handler(self._wf_issue, spec[0])
-                eng.register_batch_handler(self._l1_access, spec[1])
-                eng.register_batch_handler(self._complete, spec[2])
+        # SimVec batched dispatch (see docs/performance.md): the fused
+        # twins of _make_spec_twins, registered only for the
+        # single-cluster shape on uninstrumented runs — instrumented
+        # drains outrank batched dispatch in the engine anyway, and the
+        # scalar twins are the ground truth the fused twins are checked
+        # against (force_scalar_dispatch).  Every other design registers
+        # no twin and drains on scalar dispatch.  Must resolve last: the
+        # closures capture the pool rebuilt above.
+        eng = self.engine
+        eng.clear_batch_handlers()
+        twins = None
+        if self._fast and not self._force_scalar:
+            twins = self._make_spec_twins()
+        if twins is not None:
+            eng.register_batch_handler(self._wf_issue, twins[0])
+            eng.register_batch_handler(self._l1_access, twins[1])
+            eng.register_batch_handler(self._complete, twins[2])
+        # The tier an unprofiled drain of this wiring takes
+        # ("slow" / "scalar" / "fused"); observability only.
+        if not self._fast:
+            self.dispatch_tier = "slow"
+        else:
+            self.dispatch_tier = "scalar" if twins is None else "fused"
 
     def force_slow_path(self) -> None:
         """Re-wire the system onto the instrumented slow twins (SimHeat's
@@ -670,306 +636,21 @@ class GPUSystem:
             core.active_wavefronts -= 1
             core.finish_time = self.engine.now
 
-    # ------------------------------------------------------- SimVec batch twins
-
-    def _wf_issue_batch(self, bucket, lo, hi) -> None:
-        """SimVec twin of :meth:`_wf_issue` for one same-cycle run.
-
-        Receives the engine's run view — the wavefronts sit at the odd
-        slots ``bucket[lo + 1 : hi : 2]`` (see
-        :meth:`~repro.sim.engine.Engine.register_batch_handler`).
-
-        Three phases, each preserving the scalar per-event order where it
-        is observable:
-
-        1. Advance every wavefront's stream cursor (pure, wavefront-local)
-           and collect lines/kinds/cores into scratch buffers.
-        2. Vectorized math: addresses, L2/MC routing and home-node lookups
-           over NumPy int64 arrays (bit-exact vs Python ints); issue-port
-           reservations and — when every access is a LOAD — the NoC#1
-           request traversals resolved per-batch.  Port state chains are
-           per-server and evolve in item order, identical to sequential
-           calls; issue ports, NoC#1 ports and pass-3 state are disjoint,
-           so phase-splitting them cannot reorder any single server's
-           float chain.
-        3. Stateful effects per wavefront, in run order — pool, counters,
-           MLP re-issue and the L1 hop — making exactly the schedule()
-           calls the scalar twin would, in the same order (seq numbers
-           break same-cycle ties, so call order is part of the contract).
-
-        Rare shapes (an exhausted wavefront, whose refill can issue
-        inline) fall back to scalar dispatch for the whole run before any
-        cursor moves, keeping the interleaving exactly scalar.
-        """
-        for s in range(lo + 1, hi, 2):
-            if bucket[s].done:
-                for w in range(lo + 1, hi, 2):
-                    self._wf_issue(bucket[w])  # simheat: disable=SH604
-                return
-        lines = self._vb_lines
-        kinds = self._vb_kinds
-        cores = self._vb_cores
-        sizes = self._vb_sizes
-        lines.clear()
-        kinds.clear()
-        cores.clear()
-        sizes.clear()
-        nonload = 0
-        for s in range(lo + 1, hi, 2):
-            wf = bucket[s]
-            wf.issue_pending = False
-            pc = wf.pc
-            lines.append(wf._lines[pc])
-            kind = wf._kinds[pc]
-            kinds.append(kind)
-            nonload |= kind
-            cores.append(wf.core_id)
-            sizes.append(wf._issue_size)
-            pc += 1
-            wf.pc = pc
-            if pc >= wf._length:
-                wf.done = True
-
-        # Phase 2a: address/route math (identical ints either way).
-        k = (hi - lo) >> 1
-        addrs = self._vb_addrs
-        l2s = self._vb_l2s
-        mcs = self._vb_mcs
-        homes = self._vb_homes
-        addrs.clear()
-        l2s.clear()
-        mcs.clear()
-        homes.clear()
-        line_bits = self._line_bits
-        num_l2 = self._num_l2_slices
-        spc = self._slices_per_chan
-        decoupled = self.decoupled
-        if _np is not None and k >= _VEC_MIN:
-            arr = _np.array(lines, dtype=_np.int64)
-            addrs.extend((arr << line_bits).tolist())
-            l2arr = arr % num_l2
-            l2s.extend(l2arr.tolist())
-            mcs.extend((l2arr // spc).tolist())
-            if decoupled:
-                homes.extend(self._home_of_batch(
-                    _np.array(cores, dtype=_np.int64), arr
-                ).tolist())
-        else:
-            for line in lines:
-                addrs.append(line << line_bits)
-                l2 = line % num_l2
-                l2s.append(l2)
-                mcs.append(l2 // spc)
-            if decoupled:
-                home_of = self._home_of
-                for i in range(k):
-                    homes.append(home_of(cores[i], lines[i]))
-
-        # Phase 2b: issue-port reservations, per-batch (wavefronts on one
-        # core share its port; repeats chain exactly like scalar calls).
-        now = self.engine.now
-        ts = self._vb_ts
-        ts.clear()
-        reserve_run_fast_sized(self._issue_ports, cores, now, sizes, ts)
-
-        # Phase 2c: NoC#1 request hop per-batch — only when every access
-        # is a LOAD (mixed runs interleave cold-kind traversals on the
-        # same crossbar, so they route per item in phase 3) and Q1
-        # credits are off (admission can park requests).
-        credits = self._node_credits
-        arrivals = self._vb_arr
-        arrivals.clear()
-        rt_batch = self._rt_c2d_batch
-        batched_route = (
-            decoupled and not nonload and credits is None and rt_batch is not None
-        )
-        if batched_route:
-            rt_batch(ts, cores, homes, 1, arrivals)
-
-        # Phase 3: stateful effects, in run order.
-        cores_list = self.cores
-        pool = self._req_pool
-        schedule = self.schedule
-        issue_cb = self._wf_issue
-        l1_cb = self._l1_access
-        rt_c2d = self._rt_core_to_dcl1
-        req_bytes = self._request_bytes
-        load = _LOAD
-        outst = 0
-        n_loads = 0
-        i = -1
-        for s in range(lo + 1, hi, 2):
-            wf = bucket[s]
-            i += 1
-            kind = kinds[i]
-            t = ts[i]
-            core = cores_list[cores[i]]
-            # count_access inlined (_instr_inc is 1 + int(gap), matching
-            # the scalar rounding).
-            core.mem_instructions += 1
-            core.instructions += wf._instr_inc
-            if kind == load:
-                if pool:
-                    req = pool.pop()
-                    req.l1_hit = False
-                    req.l2_hit = False
-                    req.merged = False
-                else:
-                    req = MemoryRequest(0, load, req_bytes, 0)
-                req.addr = addrs[i]
-                req.kind = load
-                req.core_id = cores[i]
-                req.wavefront = wf
-                req.issue_time = t
-                req.line = lines[i]
-                req.l2_id = l2s[i]
-                req.mc_id = mcs[i]
-                outst += 1
-                n_loads += 1
-                wf.outstanding += 1
-                if wf.outstanding < wf.mlp and not wf.issue_pending:
-                    wf.issue_pending = True
-                    schedule(t, issue_cb, wf)
-                if decoupled:
-                    home = homes[i]
-                    req.dcl1_id = home
-                    if credits is None:
-                        if batched_route:
-                            schedule(arrivals[i], l1_cb, req)
-                        else:
-                            schedule(rt_c2d(t, cores[i], home, 1), l1_cb, req)
-                    else:
-                        self._enter_node(req, t)
-                else:
-                    schedule(t, l1_cb, req)
-            else:
-                self._issue_cold(wf, lines[i], kind, t)  # simheat: disable=SH604
-        self.outstanding += outst
-        self._n_loads += n_loads
-
-    def _l1_access_batch(self, bucket, lo, hi) -> None:
-        """SimVec twin of :meth:`_l1_access` for one same-cycle run
-        (requests at the odd slots of ``bucket[lo:hi]``).
-
-        Bank reservations resolve per-batch (phase A; bank chains are
-        per-server and evolve in item order, and nothing in phase B
-        touches bank state), then cache accesses, credit releases and the
-        reply/miss hops run per request in run order — same schedule-call
-        order as the scalar twin.
-        """
-        now = self.engine.now
-        decoupled = self.decoupled
-        idxs = self._vb_idx
-        idxs.clear()
-        if decoupled:
-            for s in range(lo + 1, hi, 2):
-                idxs.append(bucket[s].dcl1_id)
-        else:
-            for s in range(lo + 1, hi, 2):
-                idxs.append(bucket[s].core_id)
-        ts = self._vb_ts
-        ts.clear()
-        banks = self.l1_banks
-        reserve_run_fast(banks, idxs, now, ts)
-
-        credits = self._node_credits
-        caches = self.l1_caches
-        filters = self.l1_filters
-        schedule = self.schedule
-        complete_cb = self._complete
-        at_l2_cb = self._at_l2
-        rel_cb = self._release_node
-        rt_d2c = self._rt_dcl1_to_core
-        rt_to_l2 = self._rt_to_l2
-        reply_flits = self._noc1_reply_flits
-        req_flits = self._req_flits
-        line_flits = self._line_flits
-        load = _LOAD
-        i = -1
-        for s in range(lo + 1, hi, 2):
-            req = bucket[s]
-            i += 1
-            idx = idxs[i]
-            t = ts[i]
-            if credits is not None:
-                free_at = max(now, t - banks[idx].latency)
-                schedule(free_at, rel_cb, req, -1)
-            cache = caches[idx]
-            if req.kind == load:
-                if cache.access_load(req.line):
-                    req.l1_hit = True
-                    if filters is not None:
-                        filters[idx].on_hit(req.line)
-                    if decoupled:
-                        t = rt_d2c(t, idx, req.core_id, reply_flits)
-                    schedule(t, complete_cb, req)
-                else:
-                    self._l1_miss(req, t, idx)
-            else:  # STORE: write-evict + no-write-allocate, always to L2
-                hit = cache.access_store(req.line)
-                req.l1_hit = hit
-                if hit and filters is not None:
-                    filters[idx].on_evict(req.line)
-                flits = req_flits + (line_flits if hit else 0)
-                src = idx if decoupled else req.core_id
-                schedule(rt_to_l2(t, src, req.l2_id, flits), at_l2_cb, req)
-
-    def _complete_batch(self, bucket, lo, hi) -> None:
-        """SimVec twin of :meth:`_complete` for one same-cycle run
-        (requests at the odd slots of ``bucket[lo:hi]``; fast-path body
-        only — batch dispatch is never wired on instrumented runs).
-
-        Re-issues collect into a scratch list and schedule in one
-        ``schedule_batch`` call: the scalar twin makes no other schedule
-        calls between completions, so the deferred pushes get the same
-        seq numbers in the same order.
-        """
-        now = self.engine.now
-        pool = self._req_pool
-        pend = self._vb_pend
-        pend.clear()
-        rtt_sum = self._rtt_sum
-        rtt_count = 0
-        load = _LOAD
-        store = _STORE
-        for s in range(lo + 1, hi, 2):
-            req = bucket[s]
-            kind = req.kind
-            if kind == load:
-                rtt_sum += now - req.issue_time
-                rtt_count += 1
-                wf = req.wavefront
-                wf.outstanding -= 1
-                if not wf.issue_pending:
-                    wf.issue_pending = True
-                    pend.append(wf)
-            elif kind != store:
-                wf = req.wavefront
-                wf.outstanding -= 1
-                if not wf.issue_pending:
-                    wf.issue_pending = True
-                    pend.append(wf)
-            req.wavefront = None
-            pool.append(req)
-        self.outstanding -= (hi - lo) >> 1
-        self._rtt_sum = rtt_sum
-        self._rtt_count += rtt_count
-        if pend:
-            self.engine.schedule_batch(now, self._wf_issue, pend)
+    # ------------------------------------------------------- SimVec fused twins
 
     def _make_spec_twins(self):
         """Build fused batch twins for the single-cluster decoupled fast
         shape (the paper's ShY family at Z = 1, credits/filters off, LRU,
-        no directory — what the headline Sh40 runs are), or ``None`` when
-        any feature the fusion elides is active.
+        interleaved homes — what the headline Sh40 runs are), or ``None``
+        when any feature the fusion elides is active.  Called only on
+        fast wiring with batched dispatch enabled.
 
-        The generic batch twins above stay correct for every design by
-        phasing their work through scratch arrays and prebound closures;
-        these closures instead fuse the whole per-item pipeline — stream
-        advance, issue-port reservation, NoC#1 hop, cache probe, reply
-        hop and the event push — into one loop with every per-design
-        decision resolved here, at wiring time.  Each inlined block
-        mirrors its canonical twin statement for statement:
+        Every other design registers no batch twin and drains on scalar
+        dispatch.  These closures fuse the whole per-item pipeline —
+        stream advance, issue-port reservation, NoC#1 hop, cache probe,
+        reply hop and the event push — into one loop with every
+        per-design decision resolved here, at wiring time.  Each inlined
+        block mirrors its canonical twin statement for statement:
 
         * port reservations — ``Server.reserve_fast``;
         * crossbar hops — ``Crossbar.traverse_fast`` (request flits are
@@ -987,11 +668,11 @@ class GPUSystem:
 
         Equivalence with the scalar twins is enforced by the SimVec
         differential confirmer (``force_scalar_dispatch``) and the
-        fingerprint-identity tests; runs containing any shape the fusion
-        does not handle (exhausted wavefront, non-LOAD issue) delegate to
-        the generic twin before touching state.
+        fingerprint-identity tests; an issue run containing a non-LOAD
+        access (the one shape the fusion does not handle) is handed to
+        the scalar ``_wf_issue`` item by item before any state changes.
         """
-        if not (self._vec and self.decoupled):
+        if not self.decoupled:
             return None
         if self._node_credits is not None or self.l1_filters is not None:
             return None
@@ -1022,14 +703,14 @@ class GPUSystem:
         spc = self._slices_per_chan
         req_bytes = self._request_bytes
         load = _LOAD
-        ports = self._issue_ports
+        # Built once per wiring, outside the closures' per-event loops.
+        ports = [c.issue_port for c in self.cores]  # simheat: disable=SH611
         cores_list = self.cores
         pool = self._req_pool
         issue_cb = self._wf_issue
         l1_cb = self._l1_access
         complete_cb = self._complete
         at_l2_cb = self._at_l2
-        generic_issue = self._wf_issue_batch
         req_xb = topo.noc1_req[0]
         qin = req_xb._in
         qout = req_xb._out
@@ -1049,16 +730,17 @@ class GPUSystem:
         refill = self._wf_refill
 
         def issue_run(bucket, lo, hi):
-            # Delegate runs with a shape the fusion elides (non-LOAD) to
-            # the generic twin before any cursor moves, keeping the
-            # interleaving exactly scalar.  Exhausted wavefronts are
-            # handled inline below — delegating those would push every
-            # end-of-stream run (and its co-scheduled live issues) back
-            # onto the scalar path.
+            # A run with a shape the fusion elides (non-LOAD) goes to
+            # scalar dispatch, item by item in run order, before any
+            # cursor moves — exactly what the plain drain loop would do.
+            # Exhausted wavefronts are handled inline below — handing
+            # those off would push every end-of-stream run (and its
+            # co-scheduled live issues) back onto the scalar path.
             for s in range(lo + 1, hi, 2):
                 wf = bucket[s]
                 if not wf.done and wf._kinds[wf.pc] != load:
-                    generic_issue(bucket, lo, hi)
+                    for w in range(lo + 1, hi, 2):
+                        issue_cb(bucket[w])
                     return
             now = eng.now
             outst = 0
@@ -1237,8 +919,9 @@ class GPUSystem:
         store = _STORE
 
         def complete_run(bucket, lo, hi):
-            # Fused _complete_batch: same statements, with the re-issue
-            # pushes inlined (Engine.schedule's bucket append — all of a
+            # _complete's fast body over one run: same statements, with
+            # the re-issue pushes inlined (Engine.schedule's bucket
+            # append, _schedule_issue's guard included — all of a
             # run's re-issues land at the one key ``(now, 0)``, so the
             # target bucket is resolved once, on first use).  The push
             # sequence is the item order either way; interleaving the

@@ -41,6 +41,15 @@ class TestGeometry:
             make_cache(size_bytes=3 * 4 * 128)  # 3 sets: not a power of two
         with pytest.raises(ValueError):
             make_cache(index_divisor=0)
+        with pytest.raises(ValueError):
+            make_cache(policy="plru")  # rejected at build, not first touch
+
+    def test_sets_are_built_on_first_touch(self):
+        c = make_cache()
+        assert len(c._sets) == 0 and c.occupancy() == 0
+        c.install(9)
+        assert list(c._sets) == [c.set_index(9)]
+        assert c.contains(9) and c.occupancy() == 1
 
 
 class TestLoads:

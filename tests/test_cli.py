@@ -141,6 +141,26 @@ class TestCommands:
         capsys.readouterr()
         assert not (tmp_path / "envcache").exists()
 
+    @pytest.mark.parametrize("design, production", [
+        ("Sh40", "fused"),    # fused twins, outranked by the profiler
+        ("Pr40", "scalar"),   # scalar dispatch is production
+    ])
+    def test_profile_names_the_dispatch_tier(self, capsys, design, production):
+        import json
+
+        base = ["profile", "--app", "P-2MM", "--design", design,
+                "--scale", "0.02"]
+        assert main(base) == 0
+        text = capsys.readouterr().out
+        assert f"dispatch: {production}" in text
+        if production == "fused":
+            assert "taken on scalar dispatch" in text
+        else:
+            assert "taken on" not in text
+        assert main(base + ["--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["production_tier"] == production
+
     def test_figures_jobs_flag_parses(self):
         args = build_parser().parse_args(
             ["figures", "fig14", "--jobs", "4", "--cache-dir", "/tmp/x"])

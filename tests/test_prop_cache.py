@@ -34,7 +34,7 @@ class TestCacheInvariants:
         cache = SetAssociativeCache("p", 2048, 4, 128)
         apply_ops(cache, stream)
         assert cache.occupancy() <= cache.num_lines
-        for s in cache._sets:
+        for s in cache._sets.values():
             assert len(s) <= cache.assoc
 
     @given(ops)

@@ -3,12 +3,14 @@ bit-invisible on *random* small workloads and designs, not just the
 hand-picked grid points in tests/test_simturbo.py.
 
 Every example runs the same (profile, design) config twice — once with
-SimVec batch twins wired, once with ``force_scalar_dispatch()`` — and
-requires a single fingerprint.  The profile strategy deliberately spans
-the shapes the twins branch on: stores/atomics/bypasses (generic-twin
-delegation), MLP > 1 (the fused re-issue push), tiny streams (runs that
-hit the exhausted-wavefront branch) and imbalance (ragged same-cycle
-buckets).
+its production wiring, once with ``force_scalar_dispatch()`` — and
+requires a single fingerprint.  Only the single-cluster shared design
+registers fused twins; the others drain on scalar dispatch both times.
+The profile strategy deliberately spans the shapes the fused twins
+branch on: stores/atomics/bypasses (the issue twin hands such runs to
+scalar dispatch), MLP > 1 (the fused re-issue push), tiny streams (runs
+that hit the exhausted-wavefront branch) and imbalance (ragged
+same-cycle buckets).
 """
 
 from hypothesis import given, settings
@@ -67,9 +69,9 @@ class TestSimVecProperties:
     @given(profiles)
     @settings(max_examples=10, deadline=None)
     def test_batched_fingerprint_equals_slow_on_shared(self, profile):
-        """Three-way anchor on the decoupled shape that engages the most
-        batch machinery: batched == forced-slow closes the loop scalar
-        parity alone would leave open."""
+        """Three-way anchor on the decoupled shape that engages the fused
+        twins: batched == forced-slow closes the loop scalar parity alone
+        would leave open."""
         spec = DesignSpec.shared(4)
         cfg = SimConfig(gpu=TINY_GPU)
         batched = GPUSystem(profile, spec, cfg).run()

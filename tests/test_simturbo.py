@@ -287,12 +287,12 @@ def test_wavefront_materializes_streams_to_plain_ints():
 #
 # GPUSystem.force_scalar_dispatch() is the SimVec differential confirmer:
 # same fast wiring, but every event runs its scalar fast twin one call at
-# a time instead of per-run through the batch twins.  Batched, scalar and
+# a time instead of per-run through the fused twins.  Batched, scalar and
 # forced-slow runs of one config must produce one fingerprint — that
-# identity is the batch twins' (and the fused specialized twins') whole
-# contract.  Sh40/T-AlexNet engages the specialized single-cluster fused
-# twins; the other points cover the generic batch twins and designs where
-# specialization declines.
+# identity is the fused twins' whole contract.  Only the single-cluster
+# Sh40 shape registers fused twins; every other design drains on scalar
+# dispatch, so its "batched" run is a scalar run and the point checks
+# scalar == slow.
 
 
 def _three_way_hashes(app, spec, scale=0.1, **cfg_kw):
@@ -314,9 +314,10 @@ def _three_way_hashes(app, spec, scale=0.1, **cfg_kw):
     "app_name, design",
     [
         ("T-AlexNet", "Sh40"),       # specialized fused twins engage
+        ("C-SP", "Sh40"),            # fused; stores hand issue runs to scalar
         ("T-AlexNet", "Baseline"),   # coupled: no DC-L1 level
         ("T-ResNet", "Pr40"),        # private homes
-        ("C-SP", "Sh40+C10"),        # clustered: generic twins only
+        ("C-SP", "Sh40+C10"),        # clustered: scalar dispatch only
     ],
 )
 def test_batched_dispatch_matches_scalar_and_slow(app_name, design):
@@ -326,8 +327,8 @@ def test_batched_dispatch_matches_scalar_and_slow(app_name, design):
 
 
 def test_batched_dispatch_matches_scalar_with_q1_credits():
-    # Finite node queues route issue through _enter_node; the specialized
-    # twins must decline and the generic twins must still be bit-exact.
+    # Finite node queues route issue through _enter_node; the fused twins
+    # must decline and scalar dispatch must still be bit-exact.
     b, s, sl = _three_way_hashes(
         get_app("T-AlexNet"), DESIGNS["Sh40"], dcl1_queue_depth=4
     )
@@ -344,20 +345,30 @@ def test_specialized_twins_engage_on_the_headline_config():
     twins = sys_.engine._batch_handlers
     issue_fn = sys_._wf_issue.__func__
     assert issue_fn in twins
-    # the registered twin is the fused closure, not the generic method
+    # the registered twin is the fused closure
     assert twins[issue_fn].__qualname__.startswith(
         "GPUSystem._make_spec_twins"
     )
     assert sys_._l1_access.__func__ in twins
     assert sys_._complete.__func__ in twins
+    assert sys_.dispatch_tier == "fused"
+    sys_.force_scalar_dispatch()
+    assert sys_.engine._batch_handlers == {}
+    assert sys_.dispatch_tier == "scalar"
 
 
 def test_specialized_twins_decline_on_clustered_shape():
-    sys_ = GPUSystem(get_app("C-SP"), DESIGNS["Sh40+C10"],
-                     SimConfig(scale=0.05))
-    twins = sys_.engine._batch_handlers
-    issue_twin = twins.get(sys_._wf_issue.__func__)
-    assert issue_twin is not None  # generic batch twin still wired
-    assert not issue_twin.__qualname__.startswith(
-        "GPUSystem._make_spec_twins"
-    )
+    """Only the fused shape registers batch twins: every other design
+    (and Sh40 with Q1 credits, which the fusion elides) drains on
+    scalar dispatch with an empty twin map."""
+    cases = [
+        ("C-SP", "Sh40+C10", {}),
+        ("T-AlexNet", "Baseline", {}),
+        ("T-ResNet", "Pr40", {}),
+        ("T-AlexNet", "Sh40", {"dcl1_queue_depth": 4}),
+    ]
+    for app, design, cfg_kw in cases:
+        sys_ = GPUSystem(get_app(app), DESIGNS[design],
+                         SimConfig(scale=0.05, **cfg_kw))
+        assert sys_.engine._batch_handlers == {}, (app, design, cfg_kw)
+        assert sys_.dispatch_tier == "scalar", (app, design, cfg_kw)

@@ -157,6 +157,33 @@ class TestDiskCacheIntegration:
         assert warm.disk_cache is not None and warm.disk_cache.hits == len(grid)
         assert [a.fingerprint() for a in r_cold] == [b.fingerprint() for b in r_warm]
 
+    def test_run_many_derives_each_cache_key_once(self, tmp_path, monkeypatch):
+        # The validate_grid pre-flight key is reused for the disk read and
+        # the disk write, so a cold and a warm sweep each derive exactly
+        # one sim_cache_key per distinct point.
+        import repro.experiments.base as base_mod
+        import repro.sim.store as store_mod
+
+        calls = []
+        real = store_mod.sim_cache_key
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(store_mod, "sim_cache_key", counting)
+        monkeypatch.setattr(base_mod, "sim_cache_key", counting)
+        grid = [("C-BLK", BASELINE), ("C-BLK", BOOST), ("T-AlexNet", BASELINE)]
+        cold = fresh_runner(cache=str(tmp_path))
+        cold.run_many(grid, jobs=1)
+        assert cold.sims_run == len(grid)
+        assert len(calls) == len(grid)
+        calls.clear()
+        warm = fresh_runner(cache=str(tmp_path))
+        warm.run_many(grid, jobs=1)
+        assert warm.sims_run == 0 and warm.disk_cache.hits == len(grid)
+        assert len(calls) == len(grid)
+
     def test_cache_false_disables_env_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert Runner(SimConfig(scale=SCALE)).disk_cache is not None

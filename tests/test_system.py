@@ -58,6 +58,17 @@ class TestLifecycle:
         with pytest.raises(RuntimeError):
             system.run()
 
+    def test_wiring_allocates_no_cache_set_state(self, design, tiny_config,
+                                                 shared_profile):
+        # Cache sets are built on first touch: a freshly wired system
+        # holds none, and a run builds only the sets its lines map to.
+        system = GPUSystem(shared_profile, design, tiny_config)
+        caches = system.l1_caches + [s.cache for s in system.l2_slices]
+        assert all(len(c._sets) == 0 for c in caches)
+        system.run()
+        touched = sum(len(c._sets) for c in caches)
+        assert 0 < touched <= sum(c.num_sets for c in caches)
+
 
 class TestDeterminism:
     def test_same_seed_same_result(self, tiny_config, shared_profile):
