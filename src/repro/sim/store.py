@@ -33,6 +33,22 @@ fingerprint bit-identical while mutating any keyed field changes the
 key.  :func:`cache_key_manifest` exports the declared domain for the
 analyzer.
 
+Each of the three objects is serialized to its canonical JSON fragment
+once, and the fragments are spliced into the hashed blob in sorted-key
+order, byte for byte what one ``json.dumps`` of the whole payload
+writes.  A paper grid reuses a few dozen objects for every point, so the
+fragments are memoized, keyed by *identity* (``id``), each entry holding
+the object so its id cannot be reused while the entry lives.  Equality
+would be wrong: ``SimConfig(scale=1) == SimConfig(scale=1.0)``, yet the
+two serialize differently and so key differently, and an equality-keyed
+memo would hand the second whichever fragment the first one produced.
+The memo lives in this module, not on the instances: a fragment stored
+on the object would travel with it through ``pickle`` to pool workers,
+and SimShard's pickle round-trip probe would compare that stored string
+with itself instead of re-deriving the key from the restored fields.
+The memo relies on the objects being frozen; mutating one after
+construction is already an error (SimLint SL104, SimPure SP404).
+
 Layout and versioning
 ---------------------
 ``<root>/v<SCHEMA>/<key[:2]>/<key>.json`` — one JSON document per result,
@@ -47,9 +63,9 @@ Robustness
 ----------
 Writes are atomic (temp file + ``os.replace``) so concurrent processes
 never observe a half-written entry.  Reads treat *any* failure —
-missing, truncated, corrupted, schema-mismatched or stale-field files —
-as a cache miss, never an error; the entry is re-simulated and
-overwritten.
+missing, truncated, corrupted, wrong-shape, schema-mismatched or
+stale-field files — as a cache miss, never an error; the entry is
+re-simulated and overwritten.
 """
 
 from __future__ import annotations
@@ -109,6 +125,28 @@ def _canonical(obj: object) -> object:
     raise TypeError(f"cannot canonicalize {type(obj).__name__!r} for cache keying")
 
 
+#: Entries the fragment memo holds before it is emptied (about 0.85 KiB
+#: each, object included).  A paper grid touches about 34 keyed objects;
+#: a caller that builds a fresh config for every point would otherwise
+#: grow the memo without bound.
+_FRAGMENT_MEMO_CAP = 1024
+
+#: ``id(obj) -> (obj, canonical JSON of obj)``; see "Key derivation".
+_fragments: Dict[int, Tuple[object, str]] = {}
+
+
+def _fragment(obj: object) -> str:
+    """Canonical JSON of one keyed object, memoized by identity."""
+    entry = _fragments.get(id(obj))
+    if entry is not None:
+        return entry[1]
+    text = json.dumps(_canonical(obj), sort_keys=True, separators=(",", ":"))
+    if len(_fragments) >= _FRAGMENT_MEMO_CAP:
+        _fragments.clear()
+    _fragments[id(obj)] = (obj, text)
+    return text
+
+
 #: The dataclasses whose fields make up the cache-key domain, in payload
 #: order.  SimPure reads this through :func:`cache_key_manifest`.
 _KEYED_CLASSES: Tuple[Tuple[str, type], ...] = (
@@ -152,13 +190,12 @@ def sim_cache_key(profile: AppProfile, spec: DesignSpec, cfg: SimConfig) -> str:
     Same logical (profile, spec, config) -> same hex key in every
     process; any changed field -> a different key.
     """
-    payload = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "profile": _canonical(profile),
-        "design": _canonical(spec),
-        "config": _canonical(cfg),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = (
+        '{"config":' + _fragment(cfg)
+        + ',"design":' + _fragment(spec)
+        + ',"profile":' + _fragment(profile)
+        + ',"schema":' + str(CACHE_SCHEMA_VERSION) + "}"
+    )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -173,11 +210,10 @@ def profile_cache_key(profile: AppProfile) -> str:
     (fingerprint-neutral fields like ``AppProfile.suite`` are excluded),
     so two profiles differing only in neutral fields share streams.
     """
-    payload = {
-        "schema": CACHE_SCHEMA_VERSION,
-        "profile": _canonical(profile),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = (
+        '{"profile":' + _fragment(profile)
+        + ',"schema":' + str(CACHE_SCHEMA_VERSION) + "}"
+    )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -191,28 +227,34 @@ class DiskResultCache:
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
+        # Joined once: a warm sweep reads thousands of entries, and
+        # building each path with pathlib costs more than the string.
+        self._version_dir = os.path.join(self.root, f"v{CACHE_SCHEMA_VERSION}")
         self.hits = 0
         self.misses = 0
 
     @property
     def version_dir(self) -> Path:
-        return self.root / f"v{CACHE_SCHEMA_VERSION}"
+        return Path(self._version_dir)
+
+    def _entry_path(self, key: str) -> str:
+        return f"{self._version_dir}{os.sep}{key[:2]}{os.sep}{key}.json"
 
     def path_for(self, key: str) -> Path:
-        return self.version_dir / key[:2] / f"{key}.json"
+        return Path(self._entry_path(key))
 
     def get(self, key: str) -> Optional[SimResult]:
         """Load a cached result, or ``None`` (corrupt entries are misses)."""
-        path = self.path_for(key)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(self._entry_path(key), "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
             if doc.get("schema") != CACHE_SCHEMA_VERSION or doc.get("key") != key:
                 raise ValueError("cache entry schema/key mismatch")
             result = SimResult.from_jsonable(doc["result"])
-        except (OSError, ValueError, KeyError, TypeError):
-            # Missing, truncated, corrupted or written by an incompatible
-            # schema: behave exactly like a cold miss.
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            # Missing, truncated, corrupted, written by an incompatible
+            # schema, or valid JSON of the wrong shape (a list or number
+            # where an object belongs): behave exactly like a cold miss.
             self.misses += 1
             return None
         self.hits += 1

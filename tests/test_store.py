@@ -6,16 +6,20 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 
 import pytest
 
+import repro.sim.store as store
 from repro.core.designs import DesignSpec
 from repro.sim.config import GPUConfig, SimConfig
+from repro.sim.results import SimResult
 from repro.sim.store import (
     CACHE_SCHEMA_VERSION,
     DiskResultCache,
+    profile_cache_key,
     sim_cache_key,
 )
 from repro.sim.system import simulate
@@ -176,11 +180,76 @@ class TestCacheKey:
         monkeypatch.setattr(store, "CACHE_SCHEMA_VERSION", CACHE_SCHEMA_VERSION + 1)
         assert sim_cache_key(PROFILE, SPEC, CFG) != base
 
+    # Digests recorded when each key was one json.dumps of the whole
+    # payload.  Key derivation now splices memoized per-object fragments;
+    # every key, and so every on-disk entry, must stay as it was.
+    @pytest.mark.parametrize("make,digest", [
+        pytest.param(
+            lambda: (PROFILE, SPEC, CFG),
+            "6f2f01f1f7773da22532dada2a40e40d0e762e656766a7c4b85a531bba00ff94",
+            id="unit",
+        ),
+        pytest.param(
+            lambda: (get_app("T-AlexNet"), DesignSpec.clustered(40, 10, boost=2.0),
+                     SimConfig(scale=0.005)),
+            "f0e65f291de4957ec098a07329dbe6e20a7afa699bd2c9b35ab79d7345ab4ce2",
+            id="alexnet-boost",
+        ),
+        pytest.param(
+            lambda: (get_app("T-AlexNet").variant(3), DesignSpec.shared(40),
+                     SimConfig(gpu=GPUConfig().scaled_up())),
+            "a6655ed34fc4a01b3f657a58f25d0cfe6e03dff647ae4f9e88139920b54c619a",
+            id="variant3-scaled-up",
+        ),
+    ])
+    def test_key_matches_recorded_digest(self, make, digest):
+        point = make()
+        assert sim_cache_key(*point) == digest
+        assert sim_cache_key(*point) == digest  # served from the memo
+
+    def test_profile_key_matches_recorded_digest(self):
+        profile = get_app("P-2MM")
+        digest = "0f2d687b75bb092d140b95aef36f6a52b793067feb81b3e3c39e41ab0c1ba239"
+        assert profile_cache_key(profile) == digest
+        assert profile_cache_key(profile) == digest
+
+    # SimConfig(scale=1) == SimConfig(scale=1.0), but the JSON renders
+    # 1 and 1.0: the keys differ, whichever config is keyed first.
+    _SCALE_KEYS = (
+        (1, "3ebbbcd1194a9210b85e25ef8b6db075451c05938b7d0223ddaa58d111fd7706"),
+        (1.0, "a07df08445fc2e404d341a6c59ec817811e3d80c6ae733961028cd8675fed329"),
+    )
+
+    @pytest.mark.parametrize("order", [_SCALE_KEYS, _SCALE_KEYS[::-1]],
+                             ids=["int-first", "float-first"])
+    def test_equal_configs_keep_their_own_keys(self, order):
+        cfgs = [SimConfig(scale=scale) for scale, _ in order]
+        assert cfgs[0] == cfgs[1]
+        for cfg, (_, digest) in zip(cfgs, order):
+            assert sim_cache_key(PROFILE, SPEC, cfg) == digest
+
+    def test_key_derivation_leaves_pickle_unchanged(self):
+        """Nothing is cached on the instances, so what crosses a pool
+        boundary is the bare fields and the worker re-derives the key."""
+        point = (AppProfile(name="fresh", num_ctas=3), DesignSpec.shared(8),
+                 SimConfig(scale=0.5))
+        before = pickle.dumps(point, protocol=pickle.HIGHEST_PROTOCOL)
+        sim_cache_key(*point)
+        profile_cache_key(point[0])
+        assert pickle.dumps(point, protocol=pickle.HIGHEST_PROTOCOL) == before
+
+    def test_fragment_memo_is_capped(self):
+        for i in range(store._FRAGMENT_MEMO_CAP + 10):
+            profile = dataclasses.replace(PROFILE, num_ctas=i + 1)
+            key = sim_cache_key(profile, SPEC, CFG)
+            assert len(store._fragments) <= store._FRAGMENT_MEMO_CAP
+        assert key == sim_cache_key(
+            dataclasses.replace(PROFILE, num_ctas=i + 1), SPEC, CFG
+        )
+
 
 class TestSerializationRoundtrip:
     def test_fingerprint_survives_roundtrip(self, tiny_config):
-        from repro.sim.results import SimResult
-
         res = simulate(get_app("T-AlexNet"), SPEC,
                        dataclasses.replace(tiny_config, scale=0.02))
         blob = json.dumps(res.to_jsonable())
@@ -188,8 +257,6 @@ class TestSerializationRoundtrip:
         assert back.fingerprint() == res.fingerprint()
 
     def test_unknown_field_raises(self):
-        from repro.sim.results import SimResult
-
         data = SimResult().to_jsonable()
         data["not_a_field"] = 1
         with pytest.raises(TypeError):
@@ -230,13 +297,30 @@ class TestDiskResultCache:
         path.write_text(path.read_text()[: 40])
         assert cache.get(key) is None
 
-    def test_garbage_entry_is_a_miss(self, tmp_path):
+    # Raw file text, or changes to an otherwise valid entry's result.
+    @pytest.mark.parametrize("body", [
+        pytest.param("not json at all \x00\x01", id="not-json"),
+        pytest.param("[]", id="list"),
+        pytest.param('"x"', id="string"),
+        pytest.param("3", id="number"),
+        pytest.param("null", id="null"),
+        pytest.param({"l1": 3}, id="l1-not-object"),
+        pytest.param({"l2": []}, id="l2-not-object"),
+    ])
+    def test_garbage_entry_is_a_miss(self, tmp_path, body):
         cache = DiskResultCache(tmp_path)
         key = sim_cache_key(PROFILE, SPEC, CFG)
+        if isinstance(body, dict):
+            result = SimResult().to_jsonable()
+            result.update(body)
+            body = json.dumps(
+                {"schema": CACHE_SCHEMA_VERSION, "key": key, "result": result}
+            )
         path = cache.path_for(key)
         path.parent.mkdir(parents=True)
-        path.write_text("not json at all \x00\x01")
+        path.write_text(body)
         assert cache.get(key) is None
+        assert (cache.hits, cache.misses) == (0, 1)
 
     def test_schema_mismatch_is_a_miss(self, tmp_path, tiny_config):
         cache = DiskResultCache(tmp_path)
