@@ -1,65 +1,19 @@
 """Metrics, classification and tabulation helpers for the experiments,
-plus the correctness-analysis subsystem: SimLint (static AST lint pass,
-:mod:`repro.analysis.simlint`), the SimSanitizer resource ledger
-(:mod:`repro.analysis.sanitizer`), SimRace (static + dynamic same-cycle
-ordering-hazard detection, :mod:`repro.analysis.simrace`), and SimFlow
-(static resource-flow liveness analysis,
-:mod:`repro.analysis.simflow`; its runtime complement, the stall
-watchdog, lives in :mod:`repro.sim.watchdog` to keep this package free
-of :mod:`repro.sim` imports), SimPure (cache-key & fingerprint
-soundness analysis with a dynamic invariance confirmer,
-:mod:`repro.analysis.simpure`), and SimShard (distribution-safety
-analysis of the sweep layer with a serial/fork/spawn replay confirmer,
-:mod:`repro.analysis.simshard`; its runtime complement,
-``validate_grid``, lives in :mod:`repro.sim.validation`), and SimHeat
-(twin-path drift & hot-path performance analysis with a differential
-force-fast/force-slow confirmer, :mod:`repro.analysis.simheat`).  See
-``docs/analysis.md``."""
+the SimSanitizer resource ledger (:mod:`repro.analysis.sanitizer`), and
+the six static analyzers: SimLint (:mod:`repro.analysis.simlint`),
+SimRace (:mod:`repro.analysis.simrace`), SimFlow
+(:mod:`repro.analysis.simflow`), SimPure (:mod:`repro.analysis.simpure`),
+SimShard (:mod:`repro.analysis.simshard`) and SimHeat
+(:mod:`repro.analysis.simheat`), built on the shared plumbing in
+:mod:`repro.analysis.core`.
+
+The analyzers are imported from their submodules and are not re-exported
+here: the simulator imports this package, and no simulation needs them.
+See ``docs/analysis.md``."""
 
 from repro.analysis.classify import CharacterizationRow, classify, is_replication_sensitive
 from repro.analysis.metrics import amean, geomean, normalize, s_curve
 from repro.analysis.sanitizer import ResourceLedger, SanitizerError, sanitize_from_env
-from repro.analysis.simflow import FlowFinding, flow_rule_table, flow_source, run_flow
-from repro.analysis.simlint import LintFinding, LintRule, Severity, lint_source, run_lint
-from repro.analysis.simrace import (
-    ConfirmReport,
-    RaceFinding,
-    analyze_source,
-    confirm_races,
-    diff_fingerprints,
-    race_rule_table,
-    run_race,
-)
-from repro.analysis.simheat import (
-    DEFAULT_CONFIRM_GRID,
-    HeatFinding,
-    HeatProbe,
-    HeatReport,
-    confirm_heat,
-    heat_rule_table,
-    heat_source,
-    run_heat,
-)
-from repro.analysis.simpure import (
-    DECLARED_ENV_INPUTS,
-    PurityFinding,
-    PurityProbe,
-    PurityReport,
-    confirm_purity,
-    purity_rule_table,
-    purity_source,
-    run_purity,
-)
-from repro.analysis.simshard import (
-    WORKER_SAFE_GLOBALS,
-    ShardFinding,
-    ShardProbe,
-    ShardReport,
-    confirm_shard,
-    run_shard,
-    shard_rule_table,
-    shard_source,
-)
 from repro.analysis.tables import format_table, percent, ratio
 
 __all__ = [
@@ -76,44 +30,4 @@ __all__ = [
     "ResourceLedger",
     "SanitizerError",
     "sanitize_from_env",
-    "LintFinding",
-    "LintRule",
-    "Severity",
-    "lint_source",
-    "run_lint",
-    "ConfirmReport",
-    "RaceFinding",
-    "analyze_source",
-    "confirm_races",
-    "diff_fingerprints",
-    "race_rule_table",
-    "run_race",
-    "FlowFinding",
-    "flow_rule_table",
-    "flow_source",
-    "run_flow",
-    "DECLARED_ENV_INPUTS",
-    "PurityFinding",
-    "PurityProbe",
-    "PurityReport",
-    "confirm_purity",
-    "purity_rule_table",
-    "purity_source",
-    "run_purity",
-    "DEFAULT_CONFIRM_GRID",
-    "HeatFinding",
-    "HeatProbe",
-    "HeatReport",
-    "confirm_heat",
-    "heat_rule_table",
-    "heat_source",
-    "run_heat",
-    "WORKER_SAFE_GLOBALS",
-    "ShardFinding",
-    "ShardProbe",
-    "ShardReport",
-    "confirm_shard",
-    "run_shard",
-    "shard_rule_table",
-    "shard_source",
 ]

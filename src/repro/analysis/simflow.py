@@ -73,7 +73,16 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.simlint import Severity, iter_python_files
+from repro.analysis.core import (
+    Finding,
+    ModuleContext,
+    Rule,
+    Severity,
+    normalize_select,
+    parse_module,
+    scan_files,
+    sort_findings,
+)
 from repro.analysis.simrace import (
     _root_attr,
     method_aliases,
@@ -81,22 +90,19 @@ from repro.analysis.simrace import (
 )
 
 __all__ = [
+    "FLOW_RULES",
     "FlowFinding",
     "flow_source",
     "run_flow",
-    "flow_rule_table",
 ]
 
-_SUPPRESS_RE = re.compile(r"#\s*simflow:\s*disable=([A-Za-z0-9_,\s]+)")
-
-#: (rule_id, severity, title) for every SimFlow rule.
-FLOW_RULES: List[Tuple[str, Severity, str]] = [
-    ("SF301", Severity.ERROR,
-     "resource acquired without a reachable release (leak)"),
-    ("SF302", Severity.ERROR,
-     "release without acquire / double release"),
-    ("SF303", Severity.ERROR,
-     "cycle in the inter-handler acquire-order graph (deadlock potential)"),
+FLOW_RULES: List[Rule] = [
+    Rule("SF301", Severity.ERROR,
+         "resource acquired without a reachable release (leak)"),
+    Rule("SF302", Severity.ERROR,
+         "release without acquire / double release"),
+    Rule("SF303", Severity.ERROR,
+         "cycle in the inter-handler acquire-order graph (deadlock potential)"),
 ]
 
 #: Method names that acquire / release the object they are called on.
@@ -117,27 +123,11 @@ _MAX_PATH_STATES = 64
 
 
 @dataclass(frozen=True)
-class FlowFinding:
-    """One liveness finding (leak, bad release, or acquire-order cycle)."""
+class FlowFinding(Finding):
+    """One liveness finding (leak, bad release, or acquire-order cycle)
+    on one resource."""
 
-    path: str
-    line: int
-    col: int
-    rule_id: str
-    severity: Severity
-    resource: str
-    message: str
-
-    def format(self) -> str:
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.severity.value} {self.rule_id}: {self.message}"
-        )
-
-
-def flow_rule_table() -> List[Tuple[str, str, str]]:
-    """(rule_id, severity, title) for every SimFlow rule."""
-    return [(rid, sev.value, title) for rid, sev, title in FLOW_RULES]
+    resource: str = "<module>"
 
 
 # --------------------------------------------------------- event extraction
@@ -505,27 +495,6 @@ class _PathWalker:
 # -------------------------------------------------------------- class pass
 
 
-class _SourceContext:
-    """Per-file suppression-comment lookup (SimLint convention, with the
-    ``simflow:`` marker)."""
-
-    def __init__(self, path: str, source: str):
-        self.path = path
-        self.lines = source.splitlines()
-
-    def suppressed(self, lines: Iterable[int], rule_id: str) -> bool:
-        for line in lines:
-            if not (1 <= line <= len(self.lines)):
-                continue
-            m = _SUPPRESS_RE.search(self.lines[line - 1])
-            if m is None:
-                continue
-            rules = {r.strip().upper() for r in m.group(1).split(",")}
-            if "ALL" in rules or rule_id.upper() in rules:
-                return True
-        return False
-
-
 def _schedule_closure(
     start: str, trans: Dict[str, _TransFacts]
 ) -> Set[str]:
@@ -580,7 +549,7 @@ def _find_cycle(edges: Dict[Tuple[str, str], int]) -> Optional[Tuple[List[str], 
 
 
 def _analyze_class(
-    cls: ast.ClassDef, ctx: _SourceContext, select: Optional[Set[str]]
+    cls: ast.ClassDef, ctx: ModuleContext, select: Optional[Set[str]]
 ) -> List[FlowFinding]:
     methods: Dict[str, _MethodFacts] = {}
     asts: Dict[str, ast.AST] = {}
@@ -624,7 +593,7 @@ def _analyze_class(
         if not wanted(rule_id):
             return
         severity = next(sev for rid, sev, _ in FLOW_RULES if rid == rule_id)
-        if ctx.suppressed([line, *extra_suppress], rule_id):
+        if ctx.suppressed(rule_id, line, *extra_suppress):
             return
         findings.append(
             FlowFinding(
@@ -731,8 +700,6 @@ def _analyze_class(
                 "(hold-and-wait deadlock); acquire in one global order "
                 "or release before re-acquiring",
             )
-
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     return findings
 
 
@@ -745,23 +712,16 @@ def flow_source(
     select: Optional[Iterable[str]] = None,
 ) -> List[FlowFinding]:
     """Run the liveness analysis over one source string."""
-    wanted = {r.upper() for r in select} if select is not None else None
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            FlowFinding(
-                path, exc.lineno or 1, exc.offset or 0, "SF001",
-                Severity.ERROR, "<module>", f"syntax error: {exc.msg}",
-            )
-        ]
-    ctx = _SourceContext(path, source)
+    wanted = normalize_select(select)
+    tree = parse_module(source, path, "SF001", FlowFinding)
+    if isinstance(tree, Finding):
+        return [tree]
+    ctx = ModuleContext(path, source, tree, "simflow")
     findings: List[FlowFinding] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
             findings.extend(_analyze_class(node, ctx, wanted))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+    return sort_findings(findings)
 
 
 def run_flow(
@@ -769,9 +729,4 @@ def run_flow(
     select: Optional[Iterable[str]] = None,
 ) -> List[FlowFinding]:
     """Run the liveness analysis over every Python file under ``paths``."""
-    findings: List[FlowFinding] = []
-    for file in iter_python_files(paths):
-        findings.extend(
-            flow_source(file.read_text(encoding="utf-8"), str(file), select=select)
-        )
-    return findings
+    return scan_files(paths, flow_source, select)

@@ -52,11 +52,19 @@ from __future__ import annotations
 
 import ast
 import copy
-import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.simlint import Severity, iter_python_files
+from repro.analysis.core import (
+    Finding,
+    ModuleContext,
+    Rule,
+    Severity,
+    normalize_select,
+    parse_files,
+    parse_module,
+    sort_findings,
+)
 from repro.analysis.simrace import (
     diff_fingerprints,
     single_assignment_defs,
@@ -68,38 +76,33 @@ __all__ = [
     "HeatProbe",
     "HeatReport",
     "DEFAULT_CONFIRM_GRID",
-    "heat_rule_table",
     "heat_source",
     "run_heat",
     "confirm_heat",
 ]
 
-_SUPPRESS_RE = re.compile(r"#\s*simheat:\s*disable=([A-Za-z0-9_,\s]+)")
-
-HEAT_RULES: List[Tuple[str, Severity, str]] = [
-    ("SH600", Severity.ERROR,
-     "module failed to parse (twin manifests unverifiable)"),
-    ("SH601", Severity.ERROR,
-     "fast twin diverges from its slow twin (arithmetic/schedule drift)"),
-    ("SH602", Severity.ERROR,
-     "counter updated on only one side of a twin pair"),
-    ("SH603", Severity.ERROR,
-     "unreachable fast path (never wired, or gate can never hold)"),
-    ("SH604", Severity.ERROR,
-     "slow-twin call inside a fast-path branch"),
-    ("SH611", Severity.WARNING,
-     "per-event allocation in a hot handler (container/closure/f-string)"),
-    ("SH612", Severity.WARNING,
-     "attribute chain re-resolved repeatedly inside an event loop"),
-    ("SH613", Severity.ERROR,
-     "per-event environment/config read in a hot handler"),
-    ("SH614", Severity.ERROR,
-     "pooled request stored into a container that outlives completion"),
-    ("SH615", Severity.WARNING,
-     "logging/printing in a hot handler"),
+HEAT_RULES: List[Rule] = [
+    Rule("SH600", Severity.ERROR,
+         "module failed to parse (twin manifests unverifiable)"),
+    Rule("SH601", Severity.ERROR,
+         "fast twin diverges from its slow twin (arithmetic/schedule drift)"),
+    Rule("SH602", Severity.ERROR,
+         "counter updated on only one side of a twin pair"),
+    Rule("SH603", Severity.ERROR,
+         "unreachable fast path (never wired, or gate can never hold)"),
+    Rule("SH604", Severity.ERROR,
+         "slow-twin call inside a fast-path branch"),
+    Rule("SH611", Severity.WARNING,
+         "per-event allocation in a hot handler (container/closure/f-string)"),
+    Rule("SH612", Severity.WARNING,
+         "attribute chain re-resolved repeatedly inside an event loop"),
+    Rule("SH613", Severity.ERROR,
+         "per-event environment/config read in a hot handler"),
+    Rule("SH614", Severity.ERROR,
+         "pooled request stored into a container that outlives completion"),
+    Rule("SH615", Severity.WARNING,
+         "logging/printing in a hot handler"),
 ]
-
-_RULE_IDS = {rid for rid, _, _ in HEAT_RULES}
 
 #: ``self`` attributes (and bare names) that are instrumentation, not
 #: model semantics: statements/branches keyed on them are elided before
@@ -137,51 +140,14 @@ ret = start + occupancy + p.latency
 """
 
 
-def heat_rule_table() -> List[Tuple[str, str, str]]:
-    """(rule_id, severity, title) for every SimHeat rule."""
-    return [(rid, sev.value, title) for rid, sev, title in HEAT_RULES]
-
-
 @dataclass(frozen=True)
-class HeatFinding:
+class HeatFinding(Finding):
     """One twin-drift or hot-path-hygiene violation."""
 
-    path: str
-    line: int
-    col: int
-    rule_id: str
-    severity: Severity
-    message: str
     #: Hot handler the finding sits in (family two; confirmer grading).
     handler: str = ""
     #: ``fast->slow`` pair label (family one; confirmer grading).
     pair: str = ""
-
-    def format(self) -> str:
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.severity.value} {self.rule_id}: {self.message}"
-        )
-
-
-class _SourceContext:
-    """Per-file suppression-comment lookup (``# simheat: disable=``)."""
-
-    def __init__(self, path: str, source: str):
-        self.path = path
-        self.lines = source.splitlines()
-
-    def suppressed(self, lines: Iterable[int], rule_id: str) -> bool:
-        for line in lines:
-            if not (1 <= line <= len(self.lines)):
-                continue
-            m = _SUPPRESS_RE.search(self.lines[line - 1])
-            if m is None:
-                continue
-            rules = {r.strip().upper() for r in m.group(1).split(",")}
-            if "ALL" in rules or rule_id.upper() in rules:
-                return True
-        return False
 
 
 # ------------------------------------------------------------ manifests
@@ -592,7 +558,7 @@ def _count_reserve_calls(func: ast.FunctionDef, slow_names: Set[str]) -> int:
 
 def _check_lockstep(pair: _Pair, fast: ast.FunctionDef,
                     slow: ast.FunctionDef, elidable: Set[str],
-                    ctx: _SourceContext) -> List[HeatFinding]:
+                    ctx: ModuleContext) -> List[HeatFinding]:
     out: List[HeatFinding] = []
     seq_fast = _effect_sequence(fast, elidable)
     seq_slow = _effect_sequence(slow, elidable)
@@ -612,7 +578,7 @@ def _check_lockstep(pair: _Pair, fast: ast.FunctionDef,
 
 def _check_inline(pair: _Pair, fast: ast.FunctionDef,
                   slow: ast.FunctionDef, elidable: Set[str],
-                  ctx: _SourceContext) -> List[HeatFinding]:
+                  ctx: ModuleContext) -> List[HeatFinding]:
     out: List[HeatFinding] = []
     want = _count_reserve_calls(slow, {"reserve", "reserve_fast"})
     # Segment the fast body into inlined blocks at receiver rebinds:
@@ -710,7 +676,7 @@ class _CallReplacer(ast.NodeTransformer):
 
 def _check_closure(pair: _Pair, fast: ast.FunctionDef,
                    slow: ast.FunctionDef, defs: Dict[str, ast.FunctionDef],
-                   ctx: _SourceContext) -> List[HeatFinding]:
+                   ctx: ModuleContext) -> List[HeatFinding]:
     out: List[HeatFinding] = []
     cls = pair.slows[0].rsplit(".", 1)[0]
     helpers = [str(h) for h in pair.options.get("inline_helpers", [])]
@@ -810,7 +776,7 @@ def _check_closure(pair: _Pair, fast: ast.FunctionDef,
 
 def _check_specialized(pair: _Pair, fast: ast.FunctionDef,
                        slow: ast.FunctionDef, elidable: Set[str],
-                       ctx: _SourceContext) -> List[HeatFinding]:
+                       ctx: ModuleContext) -> List[HeatFinding]:
     out: List[HeatFinding] = []
     cb_fast = _schedule_callbacks(fast)
     cb_slow = _schedule_callbacks(slow)
@@ -850,7 +816,7 @@ def _check_specialized(pair: _Pair, fast: ast.FunctionDef,
 
 def _check_counters(pair: _Pair, fast: ast.FunctionDef,
                     slow: ast.FunctionDef, elidable: Set[str],
-                    ctx: _SourceContext) -> List[HeatFinding]:
+                    ctx: ModuleContext) -> List[HeatFinding]:
     out: List[HeatFinding] = []
     slow_only = {str(c) for c in pair.options.get("slow_only_counters", [])}
     c_fast = _counter_targets(fast, elidable)
@@ -880,7 +846,7 @@ def _check_counters(pair: _Pair, fast: ast.FunctionDef,
 
 
 def _check_gates(tree: ast.Module, man: _Manifest, elidable: Set[str],
-                 refs: Dict[str, int], ctx: _SourceContext
+                 refs: Dict[str, int], ctx: ModuleContext
                  ) -> List[HeatFinding]:
     """SH603: a fast path that can never run — either its gating
     predicate is contradictory, or the fast member is never wired in."""
@@ -922,7 +888,7 @@ def _check_gates(tree: ast.Module, man: _Manifest, elidable: Set[str],
                 and _self_attr(op.left) in none_keyed
                 for op in test.values)
             if has_fast and contradicted \
-                    and not ctx.suppressed([test.lineno], "SH603"):
+                    and not ctx.suppressed("SH603", test.lineno):
                 out.append(HeatFinding(
                     ctx.path, test.lineno, test.col_offset, "SH603",
                     Severity.ERROR,
@@ -933,7 +899,7 @@ def _check_gates(tree: ast.Module, man: _Manifest, elidable: Set[str],
         if refs.get(pair.fast_name, 0) < 1:
             fdef = _collect_defs(tree).get(pair.fast)
             line = fdef.lineno if fdef is not None else 1
-            if not ctx.suppressed([line], "SH603"):
+            if not ctx.suppressed("SH603", line):
                 out.append(HeatFinding(
                     ctx.path, line, 0, "SH603", Severity.ERROR,
                     f"fast path {pair.fast} is declared in FAST_PATH_PAIRS "
@@ -944,7 +910,7 @@ def _check_gates(tree: ast.Module, man: _Manifest, elidable: Set[str],
 
 def _check_slow_calls_in_fast(tree: ast.Module, man: _Manifest,
                               defs: Dict[str, ast.FunctionDef],
-                              ctx: _SourceContext) -> List[HeatFinding]:
+                              ctx: ModuleContext) -> List[HeatFinding]:
     """SH604: a slow-twin call inside a positive ``self._fast`` branch or
     inside a fast twin's own body."""
     out: List[HeatFinding] = []
@@ -989,7 +955,7 @@ def _check_slow_calls_in_fast(tree: ast.Module, man: _Manifest,
         name = getattr(node.func, "attr", None) or (
             node.func.id if isinstance(node.func, ast.Name) else None)
         if name in slow_names and id(node) not in flagged \
-                and not ctx.suppressed([node.lineno], "SH604"):
+                and not ctx.suppressed("SH604", node.lineno):
             flagged.add(id(node))
             out.append(HeatFinding(
                 ctx.path, node.lineno, node.col_offset, "SH604",
@@ -1054,7 +1020,7 @@ class _HotScanner:
 
     def __init__(self, qual: str, func: ast.FunctionDef, man: _Manifest,
                  elidable: Set[str], select: Optional[Set[str]],
-                 ctx: _SourceContext):
+                 ctx: ModuleContext):
         self.qual = qual
         self.func = func
         self.man = man
@@ -1073,7 +1039,7 @@ class _HotScanner:
             return
         line = getattr(node, "lineno", self.func.lineno)
         col = getattr(node, "col_offset", 0)
-        if self.ctx.suppressed([line], rule):
+        if self.ctx.suppressed(rule, line):
             return
         self.findings.append(HeatFinding(
             self.ctx.path, line, col, rule, severity, message,
@@ -1303,7 +1269,7 @@ def _reference_counts(trees: Sequence[ast.Module],
 def _analyze_tree(tree: ast.Module, source: str, path: str,
                   select: Optional[Set[str]],
                   refs: Dict[str, int]) -> List[HeatFinding]:
-    ctx = _SourceContext(path, source)
+    ctx = ModuleContext(path, source, tree, "simheat")
     man = _extract_manifest(tree)
     elidable = ELIDABLE_ATTRS | man.elidable
     defs = _collect_defs(tree)
@@ -1331,18 +1297,18 @@ def _analyze_tree(tree: ast.Module, source: str, path: str,
             if want("SH601"):
                 raw = _check_closure(pair, fast, slow, defs, ctx)
                 findings.extend(f for f in raw if not ctx.suppressed(
-                    [f.line, fast.lineno], f.rule_id))
+                    f.rule_id, f.line, fast.lineno))
         elif pair.mode in checkers:
             if want("SH601"):
                 raw = checkers[pair.mode](pair, fast, slow, elidable, ctx)
                 findings.extend(f for f in raw if not ctx.suppressed(
-                    [f.line, fast.lineno], f.rule_id))
+                    f.rule_id, f.line, fast.lineno))
         # "delegated": no structural check.
         if pair.mode in ("lockstep", "inline", "specialized") \
                 and want("SH602"):
             raw = _check_counters(pair, fast, slow, elidable, ctx)
             findings.extend(f for f in raw if not ctx.suppressed(
-                [f.line], f.rule_id))
+                f.rule_id, f.line))
 
     if want("SH603"):
         findings.extend(_check_gates(tree, man, elidable, refs, ctx))
@@ -1359,17 +1325,13 @@ def heat_source(source: str, path: str = "<string>",
                 select: Optional[Iterable[str]] = None) -> List[HeatFinding]:
     """Analyze one source string (fixtures/tests).  References for the
     SH603 never-wired check are resolved within this source only."""
-    sel = set(select) if select is not None else None
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [HeatFinding(path, exc.lineno or 1, exc.offset or 0,
-                            "SH600", Severity.ERROR,
-                            f"syntax error: {exc.msg}")]
+    tree = parse_module(source, path, "SH600", HeatFinding)
+    if isinstance(tree, Finding):
+        return [tree]
     refs = _reference_counts([tree], [_extract_manifest(tree)])
-    findings = _analyze_tree(tree, source, path, sel, refs)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+    return sort_findings(
+        _analyze_tree(tree, source, path, normalize_select(select), refs)
+    )
 
 
 def run_heat(paths: Sequence[str],
@@ -1377,23 +1339,13 @@ def run_heat(paths: Sequence[str],
     """Analyze every Python file under ``paths``.  The SH603 never-wired
     check resolves references package-wide (a fast twin defined in one
     module and wired in another is not unreachable)."""
-    sel = set(select) if select is not None else None
-    parsed: List[Tuple[str, str, ast.Module]] = []
-    findings: List[HeatFinding] = []
-    for file in iter_python_files(paths):
-        src = file.read_text(encoding="utf-8")
-        try:
-            parsed.append((str(file), src, ast.parse(src)))
-        except SyntaxError as exc:
-            findings.append(HeatFinding(
-                str(file), exc.lineno or 1, exc.offset or 0, "SH600",
-                Severity.ERROR, f"syntax error: {exc.msg}"))
+    sel = normalize_select(select)
+    parsed, findings = parse_files(paths, "SH600", HeatFinding)
     refs = _reference_counts([t for _, _, t in parsed],
                              [_extract_manifest(t) for _, _, t in parsed])
     for path, src, tree in parsed:
         findings.extend(_analyze_tree(tree, src, path, sel, refs))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+    return sort_findings(findings)
 
 
 # ------------------------------------------------------------ confirmer

@@ -37,104 +37,18 @@ runs) is :mod:`repro.analysis.sanitizer`; both are documented in
 from __future__ import annotations
 
 import ast
-import enum
 import re
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
-
-class Severity(enum.Enum):
-    WARNING = "warning"
-    ERROR = "error"
-
-
-@dataclass(frozen=True)
-class LintFinding:
-    """One rule violation at one source location."""
-
-    path: str
-    line: int
-    col: int
-    rule_id: str
-    severity: Severity
-    message: str
-
-    def format(self) -> str:
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.severity.value} {self.rule_id}: {self.message}"
-        )
-
-
-class ModuleContext:
-    """Per-module facts shared by every rule: source lines for suppression
-    comments, import aliases for call resolution, parent links for scope
-    checks."""
-
-    def __init__(self, path: str, source: str, tree: ast.Module):
-        self.path = path
-        self.lines = source.splitlines()
-        self.tree = tree
-        # local name -> dotted module/object path it is bound to.
-        self.aliases: Dict[str, str] = {}
-        # child node -> parent node, for enclosing-scope queries.
-        self.parents: Dict[ast.AST, ast.AST] = {}
-        for node in ast.walk(tree):
-            for child in ast.iter_child_nodes(node):
-                self.parents[child] = node
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.aliases[alias.asname or alias.name.split(".")[0]] = (
-                        alias.name if alias.asname else alias.name.split(".")[0]
-                    )
-            elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
-                for alias in node.names:
-                    if alias.name != "*":
-                        self.aliases[alias.asname or alias.name] = (
-                            f"{node.module}.{alias.name}"
-                        )
-
-    def resolve_call(self, func: ast.AST) -> Optional[str]:
-        """Dotted path of a call target, with import aliases expanded
-        (``dt.now`` after ``from datetime import datetime as dt`` resolves
-        to ``datetime.datetime.now``).  None when the base is not an
-        imported name (e.g. a local variable or attribute chain on self).
-        """
-        parts: List[str] = []
-        node = func
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        base = self.aliases.get(node.id)
-        if base is None:
-            return None
-        parts.append(base)
-        return ".".join(reversed(parts))
-
-    def enclosing_function(self, node: ast.AST) -> Optional[ast.AST]:
-        cur = self.parents.get(node)
-        while cur is not None:
-            if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return cur
-            cur = self.parents.get(cur)
-        return None
-
-    def suppressed(self, line: int, rule_id: str) -> bool:
-        """True when the physical source line carries a matching
-        ``# simlint: disable=...`` comment."""
-        if not (1 <= line <= len(self.lines)):
-            return False
-        m = _SUPPRESS_RE.search(self.lines[line - 1])
-        if m is None:
-            return False
-        rules = {r.strip().upper() for r in m.group(1).split(",")}
-        return "ALL" in rules or rule_id.upper() in rules
-
-
-_SUPPRESS_RE = re.compile(r"#\s*simlint:\s*disable=([A-Za-z0-9_,\s]+)")
+from repro.analysis.core import (
+    Finding,
+    ModuleContext,
+    Severity,
+    normalize_select,
+    parse_module,
+    scan_files,
+    sort_findings,
+)
 
 
 class LintRule:
@@ -488,20 +402,14 @@ def lint_source(
     source: str,
     path: str = "<string>",
     select: Optional[Iterable[str]] = None,
-) -> List[LintFinding]:
+) -> List[Finding]:
     """Lint one source string; returns findings sorted by location."""
-    wanted = {r.upper() for r in select} if select is not None else None
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            LintFinding(
-                path, exc.lineno or 1, exc.offset or 0, "SL001", Severity.ERROR,
-                f"syntax error: {exc.msg}",
-            )
-        ]
-    ctx = ModuleContext(path, source, tree)
-    findings: List[LintFinding] = []
+    wanted = normalize_select(select)
+    tree = parse_module(source, path, "SL001")
+    if isinstance(tree, Finding):
+        return [tree]
+    ctx = ModuleContext(path, source, tree, "simlint")
+    findings: List[Finding] = []
     for rule_cls in RULES:
         if wanted is not None and rule_cls.rule_id not in wanted:
             continue
@@ -509,39 +417,17 @@ def lint_source(
         for node, message in rule.check(ctx):
             line = getattr(node, "lineno", 1)
             col = getattr(node, "col_offset", 0)
-            if ctx.suppressed(line, rule.rule_id):
+            if ctx.suppressed(rule.rule_id, line):
                 continue
             findings.append(
-                LintFinding(path, line, col, rule.rule_id, rule.severity, message)
+                Finding(path, line, col, rule.rule_id, rule.severity, message)
             )
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
-
-
-def iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
-    """Yield .py files under each path, depth-first and sorted (so output
-    and exit codes are deterministic across filesystems)."""
-    for raw in paths:
-        p = Path(raw)
-        if p.is_dir():
-            yield from sorted(p.rglob("*.py"))
-        elif p.suffix == ".py":
-            yield p
+    return sort_findings(findings)
 
 
 def run_lint(
     paths: Sequence[str],
     select: Optional[Iterable[str]] = None,
-) -> List[LintFinding]:
+) -> List[Finding]:
     """Lint every Python file under ``paths``; returns all findings."""
-    findings: List[LintFinding] = []
-    for file in iter_python_files(paths):
-        findings.extend(
-            lint_source(file.read_text(encoding="utf-8"), str(file), select=select)
-        )
-    return findings
-
-
-def rule_table() -> List[Tuple[str, str, str]]:
-    """(rule_id, severity, title) for every registered rule."""
-    return [(r.rule_id, r.severity.value, r.title) for r in RULES]
+    return scan_files(paths, lint_source, select)

@@ -70,7 +70,16 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.simlint import ModuleContext, Severity, iter_python_files
+from repro.analysis.core import (
+    Finding,
+    ModuleContext,
+    Rule,
+    Severity,
+    normalize_select,
+    parse_files,
+    parse_module,
+    sort_findings,
+)
 from repro.analysis.simrace import (
     MUTATING_METHODS,
     diff_fingerprints,
@@ -78,31 +87,27 @@ from repro.analysis.simrace import (
 )
 
 __all__ = [
-    "PurityFinding",
+    "PURITY_RULES",
     "PurityProbe",
     "PurityReport",
     "purity_source",
     "run_purity",
     "confirm_purity",
     "mutated_value",
-    "purity_rule_table",
     "DECLARED_ENV_INPUTS",
 ]
 
-_SUPPRESS_RE = re.compile(r"#\s*simpure:\s*disable=([A-Za-z0-9_,\s]+)")
-
-#: (rule_id, severity, title) for every SimPure rule.
-PURITY_RULES: List[Tuple[str, Severity, str]] = [
-    ("SP401", Severity.ERROR,
-     "sim-core read of an input that bypasses the cache key"),
-    ("SP402", Severity.WARNING,
-     "keyed field is never read by the simulator (over-keying)"),
-    ("SP403", Severity.ERROR,
-     "non-identity field flows into result identity"),
-    ("SP404", Severity.ERROR,
-     "simulation mutates a keyed input object"),
-    ("SP405", Severity.ERROR,
-     "keyed/serialized field lacks JSON roundtrip coverage"),
+PURITY_RULES: List[Rule] = [
+    Rule("SP401", Severity.ERROR,
+         "sim-core read of an input that bypasses the cache key"),
+    Rule("SP402", Severity.WARNING,
+         "keyed field is never read by the simulator (over-keying)"),
+    Rule("SP403", Severity.ERROR,
+         "non-identity field flows into result identity"),
+    Rule("SP404", Severity.ERROR,
+         "simulation mutates a keyed input object"),
+    Rule("SP405", Severity.ERROR,
+         "keyed/serialized field lacks JSON roundtrip coverage"),
 ]
 
 #: Environment variables the sim layer is *allowed* to read — each must be
@@ -154,29 +159,6 @@ _UNKEYABLE_ANNOTATIONS = frozenset({
 _IDENTITY_METHODS = frozenset({"fingerprint", "to_jsonable", "__eq__", "__hash__"})
 
 
-@dataclass(frozen=True)
-class PurityFinding:
-    """One key-soundness violation at one source location."""
-
-    path: str
-    line: int
-    col: int
-    rule_id: str
-    severity: Severity
-    message: str
-
-    def format(self) -> str:
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.severity.value} {self.rule_id}: {self.message}"
-        )
-
-
-def purity_rule_table() -> List[Tuple[str, str, str]]:
-    """(rule_id, severity, title) for every SimPure rule."""
-    return [(rid, sev.value, title) for rid, sev, title in PURITY_RULES]
-
-
 def in_sim_core(path: str) -> bool:
     """True when ``path`` belongs to the simulator core (or is an inline
     ``<string>`` source, so unit-test snippets are checked by default)."""
@@ -184,23 +166,6 @@ def in_sim_core(path: str) -> bool:
         return True
     norm = path.replace("\\", "/")
     return any(part in norm for part in _SIM_CORE_PARTS)
-
-
-class _SourceContext:
-    """Suppression-comment lookup for one file."""
-
-    def __init__(self, path: str, source: str):
-        self.path = path
-        self.lines = source.splitlines()
-
-    def suppressed(self, line: int, rule_id: str) -> bool:
-        if not (1 <= line <= len(self.lines)):
-            return False
-        m = _SUPPRESS_RE.search(self.lines[line - 1])
-        if m is None:
-            return False
-        rules = {r.strip().upper() for r in m.group(1).split(",")}
-        return "ALL" in rules or rule_id.upper() in rules
 
 
 # --------------------------------------------------------------- module facts
@@ -663,26 +628,25 @@ def _module_findings(
     path: str,
     source: str,
     wanted: Optional[Set[str]],
-) -> List[PurityFinding]:
+) -> List[Finding]:
     """All per-module findings (SP401/SP403/SP404/SP405) for one file."""
     if not in_sim_core(path):
         return []
-    ctx = _SourceContext(path, source)
-    mctx = ModuleContext(path, source, tree)
+    mctx = ModuleContext(path, source, tree, "simpure")
     class_names = {
         n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
     }
-    findings: List[PurityFinding] = []
+    findings: List[Finding] = []
     severities = {rid: sev for rid, sev, _ in PURITY_RULES}
 
     def emit(node: ast.AST, rule_id: str, message: str) -> None:
         if wanted is not None and rule_id not in wanted:
             return
         line = getattr(node, "lineno", 1)
-        if ctx.suppressed(line, rule_id):
+        if mctx.suppressed(rule_id, line):
             return
         findings.append(
-            PurityFinding(
+            Finding(
                 path, line, getattr(node, "col_offset", 0),
                 rule_id, severities[rule_id], message,
             )
@@ -699,25 +663,18 @@ def purity_source(
     source: str,
     path: str = "<string>",
     select: Optional[Iterable[str]] = None,
-) -> List[PurityFinding]:
+) -> List[Finding]:
     """Run the per-module SimPure rules over one source string.
 
     SP402 (over-keying) is a whole-tree property and only runs from
     :func:`run_purity` when the scan covers the sim core.
     """
-    wanted = {r.upper() for r in select} if select is not None else None
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            PurityFinding(
-                path, exc.lineno or 1, exc.offset or 0, "SP001",
-                Severity.ERROR, f"syntax error: {exc.msg}",
-            )
-        ]
-    findings = _module_findings(tree, path, source, wanted)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+    tree = parse_module(source, path, "SP001")
+    if isinstance(tree, Finding):
+        return [tree]
+    return sort_findings(
+        _module_findings(tree, path, source, normalize_select(select))
+    )
 
 
 def _collect_reads(tree: ast.Module) -> Set[str]:
@@ -743,31 +700,19 @@ def _collect_reads(tree: ast.Module) -> Set[str]:
 def run_purity(
     paths: Sequence[str],
     select: Optional[Iterable[str]] = None,
-) -> List[PurityFinding]:
+) -> List[Finding]:
     """Run the full SimPure static pass over every Python file under
     ``paths``: the per-module rules plus the cross-file SP402 over-keying
     diff against :func:`repro.sim.store.cache_key_manifest`."""
-    wanted = {r.upper() for r in select} if select is not None else None
-    findings: List[PurityFinding] = []
+    wanted = normalize_select(select)
+    parsed, findings = parse_files(paths, "SP001")
     reads: Set[str] = set()
     saw_system = False
-    # Class name -> (path, source-context, {field: line}) for the keyed
+    # Class name -> (path, module context, {field: line}) for the keyed
     # dataclass definitions encountered during the scan.
-    defs: Dict[str, Tuple[str, _SourceContext, Dict[str, int]]] = {}
+    defs: Dict[str, Tuple[str, ModuleContext, Dict[str, int]]] = {}
 
-    for file in iter_python_files(paths):
-        path = str(file)
-        source = file.read_text(encoding="utf-8")
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            findings.append(
-                PurityFinding(
-                    path, exc.lineno or 1, exc.offset or 0, "SP001",
-                    Severity.ERROR, f"syntax error: {exc.msg}",
-                )
-            )
-            continue
+    for path, source, tree in parsed:
         findings.extend(_module_findings(tree, path, source, wanted))
         reads |= _collect_reads(tree)
         norm = path.replace("\\", "/")
@@ -776,25 +721,25 @@ def run_purity(
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and node.name in _KEYED_CLASS_NAMES:
                 defs[node.name] = (
-                    path, _SourceContext(path, source), _class_fields(node)
+                    path, ModuleContext(path, source, tree, "simpure"),
+                    _class_fields(node),
                 )
 
     if saw_system and (wanted is None or "SP402" in wanted):
         findings.extend(_overkeying_findings(reads, defs))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+    return sort_findings(findings)
 
 
 def _overkeying_findings(
     reads: Set[str],
-    defs: Dict[str, Tuple[str, _SourceContext, Dict[str, int]]],
-) -> List[PurityFinding]:
+    defs: Dict[str, Tuple[str, ModuleContext, Dict[str, int]]],
+) -> List[Finding]:
     """SP402: keyed manifest fields with no read anywhere in the scan."""
     # Lazy import: the analysis package never imports the sim layer at
     # module scope (same policy as confirm_races).
     from repro.sim.store import cache_key_manifest
 
-    findings: List[PurityFinding] = []
+    findings: List[Finding] = []
     for role, entry in sorted(cache_key_manifest().items()):
         cls_name = str(entry["class"])
         if cls_name not in defs:
@@ -804,10 +749,10 @@ def _overkeying_findings(
             if field_name in reads:
                 continue
             line = field_lines.get(field_name, 1)
-            if ctx.suppressed(line, "SP402"):
+            if ctx.suppressed("SP402", line):
                 continue
             findings.append(
-                PurityFinding(
+                Finding(
                     path, line, 0, "SP402", Severity.WARNING,
                     f"keyed field {cls_name}.{field_name} ({role}) is never "
                     "read by the scanned tree: it fragments the shared "
@@ -912,7 +857,10 @@ class PurityReport:
             out[p.kind] = (passed + (1 if p.ok else 0), total + 1)
         return out
 
-    def render(self) -> str:
+    def render(self, findings: Optional[Sequence[Finding]] = None) -> str:
+        """The report; ``findings`` is accepted for the shared confirm
+        interface and ignored (probes speak for the declared domain, not
+        for individual source lines)."""
         lines = [
             f"SimPure confirm: grid={', '.join(f'{a}/{d}' for a, d in self.grid)} "
             f"scale={self.scale:g} probes={len(self.probes)}"

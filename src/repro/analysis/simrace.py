@@ -67,13 +67,22 @@ and :mod:`repro.analysis.sanitizer` are the sibling tools.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.simlint import Severity, iter_python_files
+from repro.analysis.core import (
+    Finding,
+    ModuleContext,
+    Rule,
+    Severity,
+    normalize_select,
+    parse_module,
+    scan_files,
+    sort_findings,
+)
 
 __all__ = [
+    "RACE_RULES",
     "RaceFinding",
     "ConfirmReport",
     "PermutationRun",
@@ -82,21 +91,17 @@ __all__ = [
     "confirm_races",
     "diff_fingerprints",
     "shuffle_outcomes",
-    "race_rule_table",
     "method_aliases",
     "single_assignment_defs",
 ]
 
-_SUPPRESS_RE = re.compile(r"#\s*simrace:\s*disable=([A-Za-z0-9_,\s]+)")
-
-#: (rule_id, severity, title) for every SimRace rule.
-RACE_RULES: List[Tuple[str, Severity, str]] = [
-    ("SR201", Severity.ERROR,
-     "same-cycle write/write conflict between co-scheduled handlers"),
-    ("SR202", Severity.WARNING,
-     "same-cycle read/write conflict between co-scheduled handlers"),
-    ("SR203", Severity.WARNING,
-     "now-scheduled handler writes state written by other handlers"),
+RACE_RULES: List[Rule] = [
+    Rule("SR201", Severity.ERROR,
+         "same-cycle write/write conflict between co-scheduled handlers"),
+    Rule("SR202", Severity.WARNING,
+         "same-cycle read/write conflict between co-scheduled handlers"),
+    Rule("SR203", Severity.WARNING,
+         "now-scheduled handler writes state written by other handlers"),
 ]
 
 #: Methods that mutate the object they are called on.  A call through a
@@ -130,28 +135,12 @@ IGNORED_ATTRS: Set[str] = {
 
 
 @dataclass(frozen=True)
-class RaceFinding:
-    """One potential same-cycle ordering hazard between two handlers."""
+class RaceFinding(Finding):
+    """One potential same-cycle ordering hazard between two handlers (a
+    syntax-error finding names no real pair)."""
 
-    path: str
-    line: int
-    col: int
-    rule_id: str
-    severity: Severity
-    handlers: Tuple[str, str]
-    resources: Tuple[str, ...]
-    message: str
-
-    def format(self) -> str:
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.severity.value} {self.rule_id}: {self.message}"
-        )
-
-
-def race_rule_table() -> List[Tuple[str, str, str]]:
-    """(rule_id, severity, title) for every SimRace rule."""
-    return [(rid, sev.value, title) for rid, sev, title in RACE_RULES]
+    handlers: Tuple[str, str] = ("<module>", "<module>")
+    resources: Tuple[str, ...] = ()
 
 
 # ------------------------------------------------------------- static pass
@@ -423,27 +412,6 @@ def _transitive_summaries(
     return memo
 
 
-class _SourceContext:
-    """Per-file suppression-comment lookup (SimLint convention, with the
-    ``simrace:`` marker)."""
-
-    def __init__(self, path: str, source: str):
-        self.path = path
-        self.lines = source.splitlines()
-
-    def suppressed(self, lines: Iterable[int], rule_id: str) -> bool:
-        for line in lines:
-            if not (1 <= line <= len(self.lines)):
-                continue
-            m = _SUPPRESS_RE.search(self.lines[line - 1])
-            if m is None:
-                continue
-            rules = {r.strip().upper() for r in m.group(1).split(",")}
-            if "ALL" in rules or rule_id.upper() in rules:
-                return True
-        return False
-
-
 def _pair_conflicts(
     a: str,
     b: str,
@@ -458,7 +426,7 @@ def _pair_conflicts(
 
 
 def _analyze_class(
-    cls: ast.ClassDef, ctx: _SourceContext, select: Optional[Set[str]]
+    cls: ast.ClassDef, ctx: ModuleContext, select: Optional[Set[str]]
 ) -> List[RaceFinding]:
     methods: Dict[str, _MethodSummary] = {}
     for item in cls.body:
@@ -487,7 +455,7 @@ def _analyze_class(
         suppress_lines = list(evidence_lines) + [
             methods[h].lineno for h in pair if h in methods
         ]
-        if ctx.suppressed(suppress_lines, rule_id):
+        if ctx.suppressed(rule_id, *suppress_lines):
             return
         kind = "write/write" if rule_id == "SR201" else (
             "read/write" if rule_id == "SR202" else "write/write"
@@ -564,7 +532,6 @@ def _analyze_class(
                 f"[{site.func}: line {site.line}] and can land in any "
                 f"same-cycle batch alongside {other}",
             )
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
     return findings
 
 
@@ -574,24 +541,16 @@ def analyze_source(
     select: Optional[Iterable[str]] = None,
 ) -> List[RaceFinding]:
     """Run the static race analysis over one source string."""
-    wanted = {r.upper() for r in select} if select is not None else None
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            RaceFinding(
-                path, exc.lineno or 1, exc.offset or 0, "SR001", Severity.ERROR,
-                ("<module>", "<module>"), (),
-                f"syntax error: {exc.msg}",
-            )
-        ]
-    ctx = _SourceContext(path, source)
+    wanted = normalize_select(select)
+    tree = parse_module(source, path, "SR001", RaceFinding)
+    if isinstance(tree, Finding):
+        return [tree]
+    ctx = ModuleContext(path, source, tree, "simrace")
     findings: List[RaceFinding] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
             findings.extend(_analyze_class(node, ctx, wanted))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+    return sort_findings(findings)
 
 
 def run_race(
@@ -599,12 +558,7 @@ def run_race(
     select: Optional[Iterable[str]] = None,
 ) -> List[RaceFinding]:
     """Run the static race analysis over every Python file under ``paths``."""
-    findings: List[RaceFinding] = []
-    for file in iter_python_files(paths):
-        findings.extend(
-            analyze_source(file.read_text(encoding="utf-8"), str(file), select=select)
-        )
-    return findings
+    return scan_files(paths, analyze_source, select)
 
 
 # -------------------------------------------------------- dynamic confirmer
@@ -649,7 +603,8 @@ class ConfirmReport:
     observed_pairs: Dict[Tuple[str, str], int]
 
     @property
-    def bit_identical(self) -> bool:
+    def ok(self) -> bool:
+        """True when every permutation is bit-identical to FIFO."""
         return all(run.identical for run in self.runs)
 
     def pair_observed(self, handler_a: str, handler_b: str) -> int:
@@ -666,7 +621,7 @@ class ConfirmReport:
         """CONFIRMED / BENIGN / UNOBSERVED for one static finding."""
         if not self.pair_observed(*finding.handlers):
             return "UNOBSERVED"
-        return "BENIGN" if self.bit_identical else "CONFIRMED"
+        return "BENIGN" if self.ok else "CONFIRMED"
 
     def render(self, findings: Optional[Sequence["RaceFinding"]] = None) -> str:
         lines = [
@@ -700,7 +655,7 @@ class ConfirmReport:
             "overall: "
             + (
                 "BENIGN (bit-identical under all permutations)"
-                if self.bit_identical
+                if self.ok
                 else "CONFIRMED ordering hazard (results depend on same-cycle order)"
             )
         )

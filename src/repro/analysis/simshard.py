@@ -77,12 +77,20 @@ See ``docs/analysis.md`` ("Distribution safety") for the full story.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.simlint import ModuleContext, Severity, iter_python_files
+from repro.analysis.core import (
+    Finding,
+    ModuleContext,
+    Rule,
+    Severity,
+    normalize_select,
+    parse_module,
+    scan_files,
+    sort_findings,
+)
 from repro.analysis.simrace import (
     MUTATING_METHODS,
     diff_fingerprints,
@@ -90,7 +98,7 @@ from repro.analysis.simrace import (
 )
 
 __all__ = [
-    "ShardFinding",
+    "SHARD_RULES",
     "ShardProbe",
     "ShardReport",
     "WORKER_SAFE_GLOBALS",
@@ -99,25 +107,21 @@ __all__ = [
     "shard_source",
     "run_shard",
     "confirm_shard",
-    "shard_rule_table",
 ]
 
-_SUPPRESS_RE = re.compile(r"#\s*simshard:\s*disable=([A-Za-z0-9_,\s]+)")
-
-#: (rule_id, severity, title) for every SimShard rule.
-SHARD_RULES: List[Tuple[str, Severity, str]] = [
-    ("SD501", Severity.ERROR,
-     "non-picklable value reaches a pool boundary"),
-    ("SD502", Severity.ERROR,
-     "worker-side use of a mutable module global"),
-    ("SD503", Severity.ERROR,
-     "fork-unsafe construct in worker-reachable code"),
-    ("SD504", Severity.ERROR,
-     "malformed sweep-grid construction"),
-    ("SD505", Severity.ERROR,
-     "worker results merged in nondeterministic order"),
-    ("SD506", Severity.ERROR,
-     "pool-boundary payload field drift"),
+SHARD_RULES: List[Rule] = [
+    Rule("SD501", Severity.ERROR,
+         "non-picklable value reaches a pool boundary"),
+    Rule("SD502", Severity.ERROR,
+         "worker-side use of a mutable module global"),
+    Rule("SD503", Severity.ERROR,
+         "fork-unsafe construct in worker-reachable code"),
+    Rule("SD504", Severity.ERROR,
+         "malformed sweep-grid construction"),
+    Rule("SD505", Severity.ERROR,
+         "worker results merged in nondeterministic order"),
+    Rule("SD506", Severity.ERROR,
+         "pool-boundary payload field drift"),
 ]
 
 #: Module globals worker-reachable code may read even though they are
@@ -204,29 +208,6 @@ _CANONICAL_FILES = {
 _RNG_PREFIXES = ("random.", "numpy.random.")
 
 
-@dataclass(frozen=True)
-class ShardFinding:
-    """One distribution-safety violation at one source location."""
-
-    path: str
-    line: int
-    col: int
-    rule_id: str
-    severity: Severity
-    message: str
-
-    def format(self) -> str:
-        return (
-            f"{self.path}:{self.line}:{self.col}: "
-            f"{self.severity.value} {self.rule_id}: {self.message}"
-        )
-
-
-def shard_rule_table() -> List[Tuple[str, str, str]]:
-    """(rule_id, severity, title) for every SimShard rule."""
-    return [(rid, sev.value, title) for rid, sev, title in SHARD_RULES]
-
-
 def in_sweep_layer(path: str) -> bool:
     """True when ``path`` belongs to the sweep/experiment/store layers
     (or is an inline ``<string>`` source, so unit-test snippets are
@@ -235,23 +216,6 @@ def in_sweep_layer(path: str) -> bool:
         return True
     norm = path.replace("\\", "/")
     return any(part in norm for part in _SWEEP_LAYER_PARTS)
-
-
-class _SourceContext:
-    """Suppression-comment lookup for one file."""
-
-    def __init__(self, path: str, source: str):
-        self.path = path
-        self.lines = source.splitlines()
-
-    def suppressed(self, line: int, rule_id: str) -> bool:
-        if not (1 <= line <= len(self.lines)):
-            return False
-        m = _SUPPRESS_RE.search(self.lines[line - 1])
-        if m is None:
-            return False
-        rules = {r.strip().upper() for r in m.group(1).split(",")}
-        return "ALL" in rules or rule_id.upper() in rules
 
 
 # --------------------------------------------------------------- module facts
@@ -972,16 +936,15 @@ def _module_findings(
     path: str,
     source: str,
     wanted: Optional[Set[str]],
-) -> List[ShardFinding]:
+) -> List[Finding]:
     """All SimShard findings for one module."""
     if not in_sweep_layer(path):
         return []
-    ctx = _SourceContext(path, source)
-    mctx = ModuleContext(path, source, tree)
+    mctx = ModuleContext(path, source, tree, "simshard")
     class_names = {
         n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
     }
-    findings: List[ShardFinding] = []
+    findings: List[Finding] = []
     severities = {rid: sev for rid, sev, _ in SHARD_RULES}
 
     def emit(node, rule_id: str, message: str,
@@ -989,10 +952,10 @@ def _module_findings(
         if wanted is not None and rule_id not in wanted:
             return
         line = getattr(node, "lineno", 1)
-        if ctx.suppressed(line, rule_id):
+        if mctx.suppressed(rule_id, line):
             return
         findings.append(
-            ShardFinding(
+            Finding(
                 path, line, getattr(node, "col_offset", 0),
                 rule_id, severity or severities[rule_id], message,
             )
@@ -1033,36 +996,23 @@ def shard_source(
     source: str,
     path: str = "<string>",
     select: Optional[Iterable[str]] = None,
-) -> List[ShardFinding]:
+) -> List[Finding]:
     """Run the SimShard rules over one source string."""
-    wanted = {r.upper() for r in select} if select is not None else None
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            ShardFinding(
-                path, exc.lineno or 1, exc.offset or 0, "SD001",
-                Severity.ERROR, f"syntax error: {exc.msg}",
-            )
-        ]
-    findings = _module_findings(tree, path, source, wanted)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+    tree = parse_module(source, path, "SD001")
+    if isinstance(tree, Finding):
+        return [tree]
+    return sort_findings(
+        _module_findings(tree, path, source, normalize_select(select))
+    )
 
 
 def run_shard(
     paths: Sequence[str],
     select: Optional[Iterable[str]] = None,
-) -> List[ShardFinding]:
+) -> List[Finding]:
     """Run the full SimShard static pass over every Python file under
     ``paths``."""
-    findings: List[ShardFinding] = []
-    for file in iter_python_files(paths):
-        findings.extend(
-            shard_source(file.read_text(encoding="utf-8"), str(file), select)
-        )
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-    return findings
+    return scan_files(paths, shard_source, select)
 
 
 # -------------------------------------------------------- dynamic confirmer
@@ -1126,7 +1076,7 @@ class ShardReport:
             out[p.kind] = (passed + (1 if p.ok else 0), total + 1)
         return out
 
-    def verdict_for(self, finding: ShardFinding) -> str:
+    def verdict_for(self, finding: Finding) -> str:
         """CONFIRMED / BENIGN / UNOBSERVED for one static finding: the
         replay only speaks for modules it actually drove."""
         norm = finding.path.replace("\\", "/")
@@ -1134,7 +1084,7 @@ class ShardReport:
             return "UNOBSERVED"
         return "BENIGN" if self.ok else "CONFIRMED"
 
-    def render(self, findings: Optional[Sequence[ShardFinding]] = None) -> str:
+    def render(self, findings: Optional[Sequence[Finding]] = None) -> str:
         lines = [
             f"SimShard confirm: grid="
             f"{', '.join(f'{a}/{d}' for a, d in self.grid)} "

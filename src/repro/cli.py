@@ -34,9 +34,10 @@ Installed as the ``repro`` console script; also runnable as
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.tables import format_table
 from repro.core.designs import DesignSpec
@@ -290,345 +291,134 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    import os
+class _UsageError(Exception):
+    """A bad command-line value: :func:`main` prints it to stderr and
+    exits 2."""
 
-    from repro.analysis.simlint import Severity, rule_table, run_lint
 
-    if args.list_rules:
-        for rule_id, severity, title in rule_table():
-            print(f"{rule_id}  {severity:<7}  {title}")
-        return 0
-    if args.select:
-        known = {rule_id for rule_id, _, _ in rule_table()}
-        unknown = [r for r in args.select if r not in known]
-        if unknown:
-            print(
-                f"simlint: unknown rule(s) {', '.join(unknown)} "
-                f"(see `repro lint --list-rules`)",
-                file=sys.stderr,
-            )
-            return 2
-    paths = args.paths
-    if not paths:
-        # Default to linting the installed package sources themselves.
-        paths = [os.path.dirname(os.path.abspath(__file__))]
+class _Analyzer(NamedTuple):
+    """One static analyzer as ``repro <command>`` and ``repro analyze``
+    drive it."""
+
+    name: str        # report name and suppression marker, e.g. "simlint"
+    command: str     # the repro subcommand
+    summary: str     # what it checks (the `repro analyze` table)
+    rules: Sequence  # rule records with rule_id, severity and title
+    run: Callable    # run(paths, select=None) -> sorted findings
+    #: confirm(args) -> a report with ``.ok`` and ``.render(findings)``.
+    confirm: Optional[Callable] = None
+
+
+def _analyzers() -> Tuple[_Analyzer, ...]:
+    """The six analyzers in `repro analyze` row order.  Built inside the
+    analyzer commands only, so no simulator command imports them."""
+    from repro.analysis import simflow, simheat, simlint, simpure, simrace, simshard
+
+    return (
+        _Analyzer("simlint", "lint", "determinism/resource hygiene",
+                  simlint.RULES, simlint.run_lint),
+        _Analyzer("simrace", "race", "same-cycle ordering hazards",
+                  simrace.RACE_RULES, simrace.run_race,
+                  lambda args: simrace.confirm_races(
+                      get_app(args.app), args.design,
+                      SimConfig(scale=args.scale), k=args.k)),
+        _Analyzer("simflow", "flow", "resource-flow liveness",
+                  simflow.FLOW_RULES, simflow.run_flow),
+        _Analyzer("simpure", "purity", "cache-key & fingerprint soundness",
+                  simpure.PURITY_RULES, simpure.run_purity,
+                  lambda args: simpure.confirm_purity(
+                      grid=_parse_grid("simpure", args.grid),
+                      scale=args.scale)),
+        _Analyzer("simshard", "shard", "distribution safety",
+                  simshard.SHARD_RULES, simshard.run_shard,
+                  lambda args: simshard.confirm_shard(
+                      grid=_parse_grid("simshard", args.grid),
+                      scale=args.scale, jobs=args.jobs)),
+        _Analyzer("simheat", "heat", "twin-path & hot-path hygiene",
+                  simheat.HEAT_RULES, simheat.run_heat,
+                  lambda args: simheat.confirm_heat(
+                      grid=_parse_grid("simheat", args.grid, "P-2MM/Sh40+C10"),
+                      scale=args.scale, trace_alloc=not args.no_alloc)),
+    )
+
+
+def _parse_grid(
+    tool: str, entries: Optional[List[str]], example: str = "P-2MM/Pr40",
+) -> Optional[List[Tuple[str, str]]]:
+    """``--grid APP/DESIGN`` entries as (app, design) pairs, or None (the
+    confirmer's default grid) when none were given."""
+    if entries is None:
+        return None
+    grid = []
+    for entry in entries:
+        app_name, _, design = entry.partition("/")
+        try:
+            if not design:
+                raise argparse.ArgumentTypeError(
+                    f"expected APP/DESIGN, e.g. {example}")
+            if app_name not in APP_NAMES:
+                raise argparse.ArgumentTypeError(f"unknown app {app_name!r}")
+            parse_design(design)
+        except argparse.ArgumentTypeError as exc:
+            raise _UsageError(
+                f"{tool}: bad --grid entry {entry!r} ({exc})") from None
+        grid.append((app_name, design))
+    return grid
+
+
+def _analysis_paths(tool: str, paths: List[str]) -> List[str]:
+    """The paths to analyze (default: the repro package itself)."""
+    paths = paths or [os.path.dirname(os.path.abspath(__file__))]
     missing = [p for p in paths if not os.path.exists(p)]
     if missing:
-        print(f"simlint: no such path: {', '.join(missing)}", file=sys.stderr)
-        return 2
-    findings = run_lint(paths, select=args.select or None)
-    for f in findings:
-        print(f.format())
+        raise _UsageError(f"{tool}: no such path: {', '.join(missing)}")
+    return paths
+
+
+def _static_pass(tool: _Analyzer, paths: List[str],
+                 select: Optional[List[str]] = None,
+                 strict: bool = False, echo: bool = True):
+    """Run one analyzer's static pass, printing each finding unless
+    ``echo`` is off.  Returns (findings, error count, failed)."""
+    from repro.analysis.core import Severity
+
+    findings = tool.run(paths, select=select)
+    if echo:
+        for f in findings:
+            print(f.format())
     errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-    warnings = len(findings) - errors
-    if findings:
-        print(
-            f"simlint: {errors} error(s), {warnings} warning(s)", file=sys.stderr
-        )
-    if errors or (args.strict and findings):
-        return 1
-    return 0
+    return findings, errors, bool(errors or (strict and findings))
 
 
-def _cmd_race(args) -> int:
-    import os
+def _cmd_analyzer(args) -> int:
+    """``repro lint|race|flow|purity|shard|heat``: the static pass, and
+    the dynamic confirmer when ``--confirm`` asks for it."""
+    from repro.analysis.core import rule_table
 
-    from repro.analysis.simlint import Severity
-    from repro.analysis.simrace import confirm_races, race_rule_table, run_race
-
+    tool = next(t for t in _analyzers() if t.command == args.command)
+    table = rule_table(tool.rules)
     if args.list_rules:
-        for rule_id, severity, title in race_rule_table():
+        for rule_id, severity, title in table:
             print(f"{rule_id}  {severity:<7}  {title}")
         return 0
-    if args.select:
-        known = {rule_id for rule_id, _, _ in race_rule_table()}
-        unknown = [r for r in args.select if r not in known]
-        if unknown:
-            print(
-                f"simrace: unknown rule(s) {', '.join(unknown)} "
-                f"(see `repro race --list-rules`)",
-                file=sys.stderr,
-            )
-            return 2
-    run_static = args.static or not args.confirm
-    exit_code = 0
-    findings = []
-    if run_static:
-        paths = args.paths
-        if not paths:
-            paths = [os.path.dirname(os.path.abspath(__file__))]
-        missing = [p for p in paths if not os.path.exists(p)]
-        if missing:
-            print(f"simrace: no such path: {', '.join(missing)}", file=sys.stderr)
-            return 2
-        findings = run_race(paths, select=args.select or None)
-        for f in findings:
-            print(f.format())
-        errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-        warnings = len(findings) - errors
+    known = {rule_id for rule_id, _, _ in table}
+    unknown = [r for r in args.select or () if r.upper() not in known]
+    if unknown:
+        raise _UsageError(
+            f"{tool.name}: unknown rule(s) {', '.join(unknown)} "
+            f"(see `repro {tool.command} --list-rules`)")
+    confirm = tool.confirm if getattr(args, "confirm", False) else None
+    findings, exit_code = [], 0
+    if confirm is None or args.static:
+        paths = _analysis_paths(tool.name, args.paths)
+        findings, errors, failed = _static_pass(
+            tool, paths, args.select or None, args.strict)
         if findings:
-            print(
-                f"simrace: {errors} error(s), {warnings} warning(s)",
-                file=sys.stderr,
-            )
-        if errors or (args.strict and findings):
-            exit_code = 1
-    if args.confirm:
-        app = get_app(args.app)
-        cfg = SimConfig(scale=args.scale)
-        report = confirm_races(app, args.design, cfg, k=args.k, findings=findings)
-        print(report.render(findings))
-        if not report.bit_identical:
-            exit_code = 1
-    return exit_code
-
-
-def _cmd_flow(args) -> int:
-    import os
-
-    from repro.analysis.simflow import flow_rule_table, run_flow
-    from repro.analysis.simlint import Severity
-
-    if args.list_rules:
-        for rule_id, severity, title in flow_rule_table():
-            print(f"{rule_id}  {severity:<7}  {title}")
-        return 0
-    if args.select:
-        known = {rule_id for rule_id, _, _ in flow_rule_table()}
-        unknown = [r for r in args.select if r not in known]
-        if unknown:
-            print(
-                f"simflow: unknown rule(s) {', '.join(unknown)} "
-                f"(see `repro flow --list-rules`)",
-                file=sys.stderr,
-            )
-            return 2
-    paths = args.paths
-    if not paths:
-        paths = [os.path.dirname(os.path.abspath(__file__))]
-    missing = [p for p in paths if not os.path.exists(p)]
-    if missing:
-        print(f"simflow: no such path: {', '.join(missing)}", file=sys.stderr)
-        return 2
-    findings = run_flow(paths, select=args.select or None)
-    for f in findings:
-        print(f.format())
-    errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-    warnings = len(findings) - errors
-    if findings:
-        print(
-            f"simflow: {errors} error(s), {warnings} warning(s)", file=sys.stderr
-        )
-    if errors or (args.strict and findings):
-        return 1
-    return 0
-
-
-def _cmd_purity(args) -> int:
-    import os
-
-    from repro.analysis.simlint import Severity
-    from repro.analysis.simpure import (
-        DEFAULT_CONFIRM_GRID,
-        confirm_purity,
-        purity_rule_table,
-        run_purity,
-    )
-
-    if args.list_rules:
-        for rule_id, severity, title in purity_rule_table():
-            print(f"{rule_id}  {severity:<7}  {title}")
-        return 0
-    if args.select:
-        known = {rule_id for rule_id, _, _ in purity_rule_table()}
-        unknown = [r for r in args.select if r not in known]
-        if unknown:
-            print(
-                f"simpure: unknown rule(s) {', '.join(unknown)} "
-                f"(see `repro purity --list-rules`)",
-                file=sys.stderr,
-            )
-            return 2
-    run_static = args.static or not args.confirm
-    exit_code = 0
-    if run_static:
-        paths = args.paths
-        if not paths:
-            paths = [os.path.dirname(os.path.abspath(__file__))]
-        missing = [p for p in paths if not os.path.exists(p)]
-        if missing:
-            print(f"simpure: no such path: {', '.join(missing)}", file=sys.stderr)
-            return 2
-        findings = run_purity(paths, select=args.select or None)
-        for f in findings:
-            print(f.format())
-        errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-        warnings = len(findings) - errors
-        if findings:
-            print(
-                f"simpure: {errors} error(s), {warnings} warning(s)",
-                file=sys.stderr,
-            )
-        if errors or (args.strict and findings):
-            exit_code = 1
-    if args.confirm:
-        grid = list(DEFAULT_CONFIRM_GRID)
-        if args.grid:
-            grid = []
-            for entry in args.grid:
-                app_name, _, design = entry.partition("/")
-                if not design:
-                    print(
-                        f"simpure: bad --grid entry {entry!r} "
-                        "(expected APP/DESIGN, e.g. P-2MM/Pr40)",
-                        file=sys.stderr,
-                    )
-                    return 2
-                parse_design(design)  # fail fast on unknown designs
-                grid.append((app_name, design))
-        report = confirm_purity(grid=grid, scale=args.scale)
-        print(report.render())
-        if not report.ok:
-            exit_code = 1
-    return exit_code
-
-
-def _cmd_shard(args) -> int:
-    import os
-
-    from repro.analysis.simlint import Severity
-    from repro.analysis.simshard import (
-        DEFAULT_CONFIRM_GRID,
-        confirm_shard,
-        run_shard,
-        shard_rule_table,
-    )
-
-    if args.list_rules:
-        for rule_id, severity, title in shard_rule_table():
-            print(f"{rule_id}  {severity:<7}  {title}")
-        return 0
-    if args.select:
-        known = {rule_id for rule_id, _, _ in shard_rule_table()}
-        unknown = [r for r in args.select if r not in known]
-        if unknown:
-            print(
-                f"simshard: unknown rule(s) {', '.join(unknown)} "
-                f"(see `repro shard --list-rules`)",
-                file=sys.stderr,
-            )
-            return 2
-    run_static = args.static or not args.confirm
-    exit_code = 0
-    findings = []
-    if run_static:
-        paths = args.paths
-        if not paths:
-            paths = [os.path.dirname(os.path.abspath(__file__))]
-        missing = [p for p in paths if not os.path.exists(p)]
-        if missing:
-            print(f"simshard: no such path: {', '.join(missing)}", file=sys.stderr)
-            return 2
-        findings = run_shard(paths, select=args.select or None)
-        for f in findings:
-            print(f.format())
-        errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-        warnings = len(findings) - errors
-        if findings:
-            print(
-                f"simshard: {errors} error(s), {warnings} warning(s)",
-                file=sys.stderr,
-            )
-        if errors or (args.strict and findings):
-            exit_code = 1
-    if args.confirm:
-        grid = list(DEFAULT_CONFIRM_GRID)
-        if args.grid:
-            grid = []
-            for entry in args.grid:
-                app_name, _, design = entry.partition("/")
-                if not design:
-                    print(
-                        f"simshard: bad --grid entry {entry!r} "
-                        "(expected APP/DESIGN, e.g. P-2MM/Pr40)",
-                        file=sys.stderr,
-                    )
-                    return 2
-                parse_design(design)  # fail fast on unknown designs
-                grid.append((app_name, design))
-        report = confirm_shard(grid=grid, scale=args.scale, jobs=args.jobs)
-        print(report.render(findings))
-        if not report.ok:
-            exit_code = 1
-    return exit_code
-
-
-def _cmd_heat(args) -> int:
-    import os
-
-    from repro.analysis.simheat import (
-        DEFAULT_CONFIRM_GRID,
-        confirm_heat,
-        heat_rule_table,
-        run_heat,
-    )
-    from repro.analysis.simlint import Severity
-
-    if args.list_rules:
-        for rule_id, severity, title in heat_rule_table():
-            print(f"{rule_id}  {severity:<7}  {title}")
-        return 0
-    if args.select:
-        known = {rule_id for rule_id, _, _ in heat_rule_table()}
-        unknown = [r for r in args.select if r not in known]
-        if unknown:
-            print(
-                f"simheat: unknown rule(s) {', '.join(unknown)} "
-                f"(see `repro heat --list-rules`)",
-                file=sys.stderr,
-            )
-            return 2
-    run_static = args.static or not args.confirm
-    exit_code = 0
-    findings = []
-    if run_static:
-        paths = args.paths
-        if not paths:
-            paths = [os.path.dirname(os.path.abspath(__file__))]
-        missing = [p for p in paths if not os.path.exists(p)]
-        if missing:
-            print(f"simheat: no such path: {', '.join(missing)}", file=sys.stderr)
-            return 2
-        findings = run_heat(paths, select=args.select or None)
-        for f in findings:
-            print(f.format())
-        errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-        warnings = len(findings) - errors
-        if findings:
-            print(
-                f"simheat: {errors} error(s), {warnings} warning(s)",
-                file=sys.stderr,
-            )
-        if errors or (args.strict and findings):
-            exit_code = 1
-    if args.confirm:
-        grid = list(DEFAULT_CONFIRM_GRID)
-        if args.grid:
-            grid = []
-            for entry in args.grid:
-                app_name, _, design = entry.partition("/")
-                if not design:
-                    print(
-                        f"simheat: bad --grid entry {entry!r} "
-                        "(expected APP/DESIGN, e.g. P-2MM/Sh40+C10)",
-                        file=sys.stderr,
-                    )
-                    return 2
-                parse_design(design)  # fail fast on unknown designs
-                grid.append((app_name, design))
-        report = confirm_heat(grid=grid, scale=args.scale,
-                              trace_alloc=not args.no_alloc)
+            print(f"{tool.name}: {errors} error(s), "
+                  f"{len(findings) - errors} warning(s)", file=sys.stderr)
+        exit_code = int(failed)
+    if confirm is not None:
+        report = confirm(args)
         print(report.render(findings))
         if not report.ok:
             exit_code = 1
@@ -637,50 +427,24 @@ def _cmd_heat(args) -> int:
 
 def _cmd_analyze(args) -> int:
     import json
-    import os
 
-    from repro.analysis.simflow import run_flow
-    from repro.analysis.simheat import run_heat
-    from repro.analysis.simlint import Severity, run_lint
-    from repro.analysis.simpure import run_purity
-    from repro.analysis.simrace import run_race
-    from repro.analysis.simshard import run_shard
-
-    paths = args.paths
-    if not paths:
-        paths = [os.path.dirname(os.path.abspath(__file__))]
-    missing = [p for p in paths if not os.path.exists(p)]
-    if missing:
-        print(f"analyze: no such path: {', '.join(missing)}", file=sys.stderr)
-        return 2
-    tools = (
-        ("simlint", "determinism/resource hygiene", run_lint),
-        ("simrace", "same-cycle ordering hazards", run_race),
-        ("simflow", "resource-flow liveness", run_flow),
-        ("simpure", "cache-key & fingerprint soundness", run_purity),
-        ("simshard", "distribution safety", run_shard),
-        ("simheat", "twin-path & hot-path hygiene", run_heat),
-    )
+    paths = _analysis_paths("analyze", args.paths)
     rows = []
     report = []
     exit_code = 0
-    for name, what, runner in tools:
-        findings = runner(paths)
-        if not args.json:
-            for f in findings:
-                print(f.format())
-        errors = sum(1 for f in findings if f.severity is Severity.ERROR)
+    for tool in _analyzers():
+        findings, errors, failed = _static_pass(
+            tool, paths, strict=args.strict, echo=not args.json)
         warnings = len(findings) - errors
-        failed = bool(errors or (args.strict and findings))
         if failed:
             exit_code = 1
         rows.append([
-            name, what, str(errors), str(warnings),
+            tool.name, tool.summary, str(errors), str(warnings),
             "FAIL" if failed else "ok",
         ])
         report.append({
-            "tool": name,
-            "checks": what,
+            "tool": tool.name,
+            "checks": tool.summary,
             "errors": errors,
             "warnings": warnings,
             "status": "fail" if failed else "ok",
@@ -698,8 +462,8 @@ def _cmd_analyze(args) -> int:
         })
     if args.json:
         # One deterministic JSON document on stdout — a CI artifact that
-        # machines diff across runs (findings are already sorted by
-        # path/line/col/rule within each tool).
+        # machines diff across runs (each tool's findings are sorted by
+        # path/line/col/rule).
         print(json.dumps(
             {
                 "schema_version": ANALYZE_SCHEMA_VERSION,
@@ -715,6 +479,44 @@ def _cmd_analyze(args) -> int:
             ["tool", "checks", "errors", "warnings", "status"], rows,
             title=f"repro analyze: {' '.join(paths)}"))
     return exit_code
+
+
+def _analyzer_parser(sub, command: str, summary: str, rule_id: str,
+                     rules: str, paths: str = "to analyze", static: str = "",
+                     confirm: str = "",
+                     flags: Sequence[Tuple[Tuple[str, ...], dict]] = ()):
+    """One analyzer subcommand: PATHS; ``--static``, ``--confirm`` and the
+    confirmer's own ``flags`` when it has a confirmer; then the shared
+    ``--select/--strict/--list-rules``."""
+    p = sub.add_parser(command, help=summary)
+    p.add_argument("paths", nargs="*", help=(
+        f"files/directories {'for --static' if confirm else paths} "
+        "(default: the repro package)"))
+    if confirm:
+        p.add_argument("--static", action="store_true",
+                       help=f"run the static {static} pass "
+                            "(default when --confirm is not given)")
+        p.add_argument("--confirm", action="store_true", help=confirm)
+        for names, kwargs in flags:
+            p.add_argument(*names, **kwargs)
+    p.add_argument("--select", action="append", metavar="RULE",
+                   help=f"only run the given {rule_id} (repeatable)")
+    p.add_argument("--strict", action="store_true",
+                   help="exit nonzero on warnings too, not only errors")
+    p.add_argument("--list-rules", action="store_true",
+                   help=f"list the registered {rules} and exit")
+    p.set_defaults(func=_cmd_analyzer)
+
+
+def _grid_flag(example: str, default: str):
+    return (("--grid",), dict(
+        action="append", metavar="APP/DESIGN",
+        help=f"grid point for --confirm, e.g. {example} "
+             f"(repeatable; default: {default})"))
+
+
+_SCALE_FLAG = (("--scale",), dict(
+    type=float, default=0.1, help="workload scale for --confirm"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -775,150 +577,81 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("lint", help="SimLint: simulator-specific static analysis")
-    p.add_argument("paths", nargs="*",
-                   help="files/directories to lint (default: the repro package)")
-    p.add_argument("--select", action="append", metavar="RULE",
-                   help="only run the given rule ID (repeatable)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero on warnings too, not only errors")
-    p.add_argument("--list-rules", action="store_true",
-                   help="list the registered rules and exit")
-    p.set_defaults(func=_cmd_lint)
-
-    p = sub.add_parser(
-        "race",
-        help="SimRace: same-cycle ordering-hazard detection "
-             "(static AST pass and/or shadow-shuffle replay)",
-    )
-    p.add_argument("paths", nargs="*",
-                   help="files/directories for --static (default: the repro package)")
-    p.add_argument("--static", action="store_true",
-                   help="run the static co-scheduling conflict pass "
-                        "(default when --confirm is not given)")
-    p.add_argument("--confirm", action="store_true",
-                   help="replay one workload under K same-cycle permutations "
-                        "and diff bit-exact results against the FIFO baseline")
-    p.add_argument("--app", choices=APP_NAMES, default="P-2MM",
-                   help="application for --confirm (default: P-2MM)")
-    p.add_argument("--design", type=parse_design, default=DesignSpec.private(40),
-                   help="design for --confirm (default: Pr40)")
-    p.add_argument("--scale", type=float, default=0.25,
-                   help="workload scale for --confirm")
-    p.add_argument("-k", type=int, default=5,
-                   help="number of shuffle permutations for --confirm")
-    p.add_argument("--select", action="append", metavar="RULE",
-                   help="only run the given SR rule ID (repeatable)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero on warnings too, not only errors")
-    p.add_argument("--list-rules", action="store_true",
-                   help="list the registered SimRace rules and exit")
-    p.set_defaults(func=_cmd_race)
-
-    p = sub.add_parser(
-        "flow",
-        help="SimFlow: static resource-flow liveness analysis "
-             "(leaks, stray releases, acquire-order cycles)",
-    )
-    p.add_argument("paths", nargs="*",
-                   help="files/directories to analyze (default: the repro package)")
-    p.add_argument("--select", action="append", metavar="RULE",
-                   help="only run the given SF rule ID (repeatable)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero on warnings too, not only errors")
-    p.add_argument("--list-rules", action="store_true",
-                   help="list the registered SimFlow rules and exit")
-    p.set_defaults(func=_cmd_flow)
-
-    p = sub.add_parser(
-        "purity",
-        help="SimPure: cache-key & fingerprint soundness "
-             "(static AST pass and/or mutate-and-replay confirmation)",
-    )
-    p.add_argument("paths", nargs="*",
-                   help="files/directories for --static (default: the repro package)")
-    p.add_argument("--static", action="store_true",
-                   help="run the static key-soundness pass "
-                        "(default when --confirm is not given)")
-    p.add_argument("--confirm", action="store_true",
-                   help="mutate every keyed field (key must change) and every "
-                        "excluded input (fingerprint must stay bit-identical) "
-                        "over a small app/design grid")
-    p.add_argument("--grid", action="append", metavar="APP/DESIGN",
-                   help="grid point for --confirm, e.g. P-2MM/Pr40 "
-                        "(repeatable; default: P-2MM/Pr40, T-AlexNet/Sh40+C10, "
-                        "C-BLK/Baseline)")
-    p.add_argument("--scale", type=float, default=0.1,
-                   help="workload scale for --confirm")
-    p.add_argument("--select", action="append", metavar="RULE",
-                   help="only run the given SP rule ID (repeatable)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero on warnings too, not only errors")
-    p.add_argument("--list-rules", action="store_true",
-                   help="list the registered SimPure rules and exit")
-    p.set_defaults(func=_cmd_purity)
-
-    p = sub.add_parser(
-        "shard",
-        help="SimShard: distribution safety of the sweep layer "
-             "(static AST pass and/or serial/fork/spawn replay confirmation)",
-    )
-    p.add_argument("paths", nargs="*",
-                   help="files/directories for --static (default: the repro package)")
-    p.add_argument("--static", action="store_true",
-                   help="run the static distribution-safety pass "
-                        "(default when --confirm is not given)")
-    p.add_argument("--confirm", action="store_true",
-                   help="pickle-roundtrip every grid point (cache key must "
-                        "survive) and replay a small grid serial vs fork-pool "
-                        "vs spawn-pool, requiring bit-identical fingerprints")
-    p.add_argument("--grid", action="append", metavar="APP/DESIGN",
-                   help="grid point for --confirm, e.g. P-2MM/Pr40 "
-                        "(repeatable; default: P-2MM/Pr40, T-AlexNet/Sh40+C10, "
-                        "C-BLK/Baseline, C-NN/Sh40)")
-    p.add_argument("--scale", type=float, default=0.1,
-                   help="workload scale for --confirm")
-    p.add_argument("--jobs", type=int, default=2,
-                   help="pool width for the --confirm replays (default 2)")
-    p.add_argument("--select", action="append", metavar="RULE",
-                   help="only run the given SD rule ID (repeatable)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero on warnings too, not only errors")
-    p.add_argument("--list-rules", action="store_true",
-                   help="list the registered SimShard rules and exit")
-    p.set_defaults(func=_cmd_shard)
-
-    p = sub.add_parser(
-        "heat",
-        help="SimHeat: twin-path drift & hot-path performance hygiene "
-             "(static AST pass and/or force-fast vs force-slow replay "
-             "confirmation)",
-    )
-    p.add_argument("paths", nargs="*",
-                   help="files/directories for --static (default: the repro package)")
-    p.add_argument("--static", action="store_true",
-                   help="run the static twin-path drift / hot-path pass "
-                        "(default when --confirm is not given)")
-    p.add_argument("--confirm", action="store_true",
-                   help="replay a small grid with the hot path forced on and "
-                        "forced off, requiring bit-identical fingerprints, "
-                        "and alloc-profile the hot handlers")
-    p.add_argument("--grid", action="append", metavar="APP/DESIGN",
-                   help="grid point for --confirm, e.g. P-2MM/Sh40+C10 "
-                        "(repeatable; default: T-AlexNet/Sh40, "
-                        "P-2MM/Sh40+C10, C-SP/Pr40, C-BLK/Baseline)")
-    p.add_argument("--scale", type=float, default=0.1,
-                   help="workload scale for --confirm")
-    p.add_argument("--no-alloc", action="store_true",
-                   help="skip the tracemalloc allocation profile in --confirm "
-                        "(twin replays only; much faster)")
-    p.add_argument("--select", action="append", metavar="RULE",
-                   help="only run the given SH rule ID (repeatable)")
-    p.add_argument("--strict", action="store_true",
-                   help="exit nonzero on warnings too, not only errors")
-    p.add_argument("--list-rules", action="store_true",
-                   help="list the registered SimHeat rules and exit")
-    p.set_defaults(func=_cmd_heat)
+    _analyzer_parser(
+        sub, "lint", "SimLint: simulator-specific static analysis",
+        "rule ID", "rules", paths="to lint")
+    _analyzer_parser(
+        sub, "race",
+        "SimRace: same-cycle ordering-hazard detection "
+        "(static AST pass and/or shadow-shuffle replay)",
+        "SR rule ID", "SimRace rules", static="co-scheduling conflict",
+        confirm="replay one workload under K same-cycle permutations "
+                "and diff bit-exact results against the FIFO baseline",
+        flags=[
+            (("--app",), dict(choices=APP_NAMES, default="P-2MM",
+                              help="application for --confirm "
+                                   "(default: P-2MM)")),
+            (("--design",), dict(type=parse_design,
+                                 default=DesignSpec.private(40),
+                                 help="design for --confirm (default: Pr40)")),
+            (("--scale",), dict(type=float, default=0.25,
+                                help="workload scale for --confirm")),
+            (("-k",), dict(type=int, default=5,
+                           help="number of shuffle permutations for "
+                                "--confirm")),
+        ])
+    _analyzer_parser(
+        sub, "flow",
+        "SimFlow: static resource-flow liveness analysis "
+        "(leaks, stray releases, acquire-order cycles)",
+        "SF rule ID", "SimFlow rules")
+    _analyzer_parser(
+        sub, "purity",
+        "SimPure: cache-key & fingerprint soundness "
+        "(static AST pass and/or mutate-and-replay confirmation)",
+        "SP rule ID", "SimPure rules", static="key-soundness",
+        confirm="mutate every keyed field (key must change) and every "
+                "excluded input (fingerprint must stay bit-identical) "
+                "over a small app/design grid",
+        flags=[
+            _grid_flag("P-2MM/Pr40",
+                       "P-2MM/Pr40, T-AlexNet/Sh40+C10, C-BLK/Baseline"),
+            _SCALE_FLAG,
+        ])
+    _analyzer_parser(
+        sub, "shard",
+        "SimShard: distribution safety of the sweep layer "
+        "(static AST pass and/or serial/fork/spawn replay confirmation)",
+        "SD rule ID", "SimShard rules", static="distribution-safety",
+        confirm="pickle-roundtrip every grid point (cache key must "
+                "survive) and replay a small grid serial vs fork-pool "
+                "vs spawn-pool, requiring bit-identical fingerprints",
+        flags=[
+            _grid_flag("P-2MM/Pr40", "P-2MM/Pr40, T-AlexNet/Sh40+C10, "
+                                     "C-BLK/Baseline, C-NN/Sh40"),
+            _SCALE_FLAG,
+            (("--jobs",), dict(type=int, default=2,
+                               help="pool width for the --confirm replays "
+                                    "(default 2)")),
+        ])
+    _analyzer_parser(
+        sub, "heat",
+        "SimHeat: twin-path drift & hot-path performance hygiene "
+        "(static AST pass and/or force-fast vs force-slow replay "
+        "confirmation)",
+        "SH rule ID", "SimHeat rules", static="twin-path drift / hot-path",
+        confirm="replay a small grid with the hot path forced on and "
+                "forced off, requiring bit-identical fingerprints, "
+                "and alloc-profile the hot handlers",
+        flags=[
+            _grid_flag("P-2MM/Sh40+C10", "T-AlexNet/Sh40, P-2MM/Sh40+C10, "
+                                         "C-SP/Pr40, C-BLK/Baseline"),
+            _SCALE_FLAG,
+            (("--no-alloc",), dict(action="store_true",
+                                   help="skip the tracemalloc allocation "
+                                        "profile in --confirm (twin replays "
+                                        "only; much faster)")),
+        ])
 
     p = sub.add_parser(
         "analyze",
@@ -942,7 +675,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "command", None) in ("simulate", "run") and args.design is None:
         args.design = [DesignSpec.clustered(40, 10, boost=2.0)]
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

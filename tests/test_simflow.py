@@ -4,11 +4,11 @@ import textwrap
 from pathlib import Path
 
 from repro.analysis.simflow import (
-    flow_rule_table,
+    FLOW_RULES,
     flow_source,
     run_flow,
 )
-from repro.analysis.simlint import Severity
+from repro.analysis.core import Severity, rule_table
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -424,7 +424,7 @@ def test_syntax_error_reported_not_raised():
 
 
 def test_rule_table_lists_sf3xx():
-    ids = [rid for rid, _sev, _title in flow_rule_table()]
+    ids = [rid for rid, _sev, _title in rule_table(FLOW_RULES)]
     assert ids == ["SF301", "SF302", "SF303"]
 
 

@@ -8,16 +8,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.core import Severity, rule_table
 from repro.analysis.simheat import (
     DEFAULT_CONFIRM_GRID,
+    HEAT_RULES,
     HeatProbe,
     HeatReport,
     confirm_heat,
-    heat_rule_table,
     heat_source,
     run_heat,
 )
-from repro.analysis.simlint import Severity
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -72,7 +72,7 @@ class Server:
 
 
 def test_rule_table_lists_every_rule():
-    table = heat_rule_table()
+    table = rule_table(HEAT_RULES)
     ids = [rid for rid, _, _ in table]
     assert ids == sorted(ids)
     assert "SH600" in ids and "SH601" in ids and "SH615" in ids

@@ -8,14 +8,8 @@ import textwrap
 
 import pytest
 
-from repro.analysis.simlint import (
-    RULES,
-    LintFinding,
-    Severity,
-    lint_source,
-    rule_table,
-    run_lint,
-)
+from repro.analysis.core import Finding, Severity, rule_table
+from repro.analysis.simlint import RULES, lint_source, run_lint
 from repro.cli import main
 
 
@@ -282,11 +276,11 @@ class TestRunner:
         assert findings[0].path.endswith("bad.py")
 
     def test_findings_sorted_and_formatted(self):
-        f = LintFinding("a.py", 3, 7, "SL101", Severity.ERROR, "msg")
+        f = Finding("a.py", 3, 7, "SL101", Severity.ERROR, "msg")
         assert f.format() == "a.py:3:7: error SL101: msg"
 
     def test_every_rule_listed(self):
-        table = rule_table()
+        table = rule_table(RULES)
         assert len(table) == len(RULES) >= 6
         assert all(rid.startswith("SL") for rid, _sev, _title in table)
 

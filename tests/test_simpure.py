@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.simlint import Severity
+from repro.analysis.core import Severity, rule_table
 from repro.analysis.simpure import (
     DECLARED_ENV_INPUTS,
+    PURITY_RULES,
     mutated_value,
-    purity_rule_table,
     purity_source,
     run_purity,
 )
@@ -488,7 +488,7 @@ def test_syntax_error_is_reported_not_raised():
 
 
 def test_rule_table_covers_sp401_to_sp405():
-    ids = [rid for rid, _, _ in purity_rule_table()]
+    ids = [rid for rid, _, _ in rule_table(PURITY_RULES)]
     assert ids == ["SP401", "SP402", "SP403", "SP404", "SP405"]
 
 

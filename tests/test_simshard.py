@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.simlint import Severity
+from repro.analysis.core import Finding, Severity, rule_table
 from repro.analysis.simshard import (
+    SHARD_RULES,
     WORKER_SAFE_GLOBALS,
     confirm_shard,
-    shard_rule_table,
     shard_source,
     run_shard,
 )
@@ -668,7 +668,7 @@ def test_syntax_error_is_reported_not_raised():
 
 
 def test_rule_table_lists_all_rules():
-    ids = [rid for rid, _, _ in shard_rule_table()]
+    ids = [rid for rid, _, _ in rule_table(SHARD_RULES)]
     assert ids == ["SD501", "SD502", "SD503", "SD504", "SD505", "SD506"]
 
 
@@ -714,12 +714,10 @@ class TestConfirmShard:
         assert "bit-identical" in text
 
     def test_findings_graded(self, report):
-        from repro.analysis.simshard import ShardFinding
-
-        exercised = ShardFinding(
+        exercised = Finding(
             "src/repro/experiments/base.py", 1, 0, "SD501",
             Severity.ERROR, "x")
-        elsewhere = ShardFinding(
+        elsewhere = Finding(
             "src/repro/analysis/simshard.py", 1, 0, "SD501",
             Severity.ERROR, "x")
         assert report.verdict_for(exercised) == "BENIGN"
