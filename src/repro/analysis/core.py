@@ -5,8 +5,9 @@ rules and (for four of them) a dynamic confirmer.  Everything else lives
 here: :class:`Severity`, the :class:`Rule` and :class:`Finding` records,
 the per-module :class:`ModuleContext` (import aliases, parent links and
 the ``# sim<tool>: disable=RULE`` suppression comments), rule selection,
-the ``--list-rules`` table, parsing with a syntax-error finding, the
-file walk and the one order findings are reported in.
+the path-scope test, the ``--list-rules`` table, parsing with a
+syntax-error finding, the file walk and the one order findings are
+reported in.
 
 ``repro lint|race|flow|purity|shard|heat`` and ``repro analyze`` drive
 the analyzers from one registry in :mod:`repro.cli`; ``docs/analysis.md``
@@ -72,6 +73,16 @@ def rule_table(rules: Iterable) -> List[Tuple[str, str, str]]:
 def normalize_select(select: Optional[Iterable[str]]) -> Optional[Set[str]]:
     """The selected rule IDs, uppercased; None selects every rule."""
     return {r.upper() for r in select} if select is not None else None
+
+
+def in_path_scope(path: str, parts: Sequence[str]) -> bool:
+    """True when ``path`` contains one of the path fragments ``parts``
+    (or is an inline ``<string>`` source, so unit-test snippets are
+    checked by default)."""
+    if path == "<string>":
+        return True
+    norm = path.replace("\\", "/")
+    return any(part in norm for part in parts)
 
 
 def sort_findings(findings: Iterable[F]) -> List[F]:

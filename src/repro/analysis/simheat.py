@@ -1,42 +1,18 @@
-"""SimHeat — twin-path drift & hot-path performance analyzer.
+"""SimHeat — hot-path hygiene analyzer and twin-path replay confirmer.
 
-The SimTurbo hot path (see ``docs/performance.md``) buys its ~2.9x
-speedup with hand-maintained *twin implementations*: every instrumented
-slow path (``Server.reserve``, ``Crossbar.traverse``, the cold issue
-path) has an uninstrumented fast twin whose arithmetic must stay in
-bit-exact lockstep.  The contract is guarded dynamically by the golden
-fingerprints in ``tests/test_simturbo.py`` — SimHeat adds the static
-half, plus review-time hygiene rules for the hot handlers themselves.
+The SimTurbo hot path (see ``docs/performance.md``) buys its speed with
+hand-maintained *twin implementations*: every instrumented slow path
+(``Server.reserve``, ``Crossbar.traverse``, the cold issue path) has an
+uninstrumented fast twin whose arithmetic must stay bit-exact.  Replays
+enforce that contract: the differential tests in
+``tests/test_simturbo.py`` (fast vs forced-slow, fused vs scalar vs
+slow, the golden fingerprints) and :func:`confirm_heat` below.
 
-Rule family one — twin-path drift.  Sim-core modules declare a
-``FAST_PATH_PAIRS`` manifest: ``(fast_qualname, slow_qualname(s), mode,
-options)`` tuples naming each fast variant, its canonical slow twin and
-the comparison *mode* the analyzer applies:
-
-* ``"lockstep"`` — the two bodies must produce the same effect sequence
-  once the declared elidable instrumentation (owner/ledger/watchdog
-  hooks) is removed and single-assignment locals are substituted.
-* ``"inline"`` — the fast side hand-inlines ``Server.reserve_fast``; the
-  analyzer alpha-matches each inlined block against the reserve template
-  and requires one block per ``.reserve(`` call in the slow twin.
-* ``"closure"`` — the fast side is a factory returning specialized
-  closures; each closure, with the factory-local bindings substituted,
-  must match the corresponding canonical branch (helpers named in
-  ``options["inline_helpers"]`` are inlined into the slow twin first).
-* ``"specialized"`` — the fast side handles a subset of the slow twin's
-  cases (the LOAD-only issue path); the analyzer checks the fast side's
-  scheduled handlers are a subset of the slow side's, that assignments
-  both sides make to the same target agree, and that counter updates
-  differ only by ``options["slow_only_counters"]``.
-* ``"delegated"`` — structural equivalence is delegated to the
-  differential confirmer and the fingerprint tests; only SH603/SH604
-  are enforced statically.
-
-Rule family two — hot-path perf anti-patterns, applied to *hot
-handlers*: every callback the class schedules, the declared fast twins,
-their transitive self-call closure (skipping calls made under elided
-instrumentation guards), and the functions a module names in
-``SIMHEAT_HOT_FUNCTIONS``.
+The static pass holds *hot handlers* to review-time hygiene rules
+(SH611–SH615): every callback a class schedules, their transitive
+self-call closure (skipping calls made under elided instrumentation
+guards), and the functions a module names in ``SIMHEAT_HOT_FUNCTIONS``.
+SH600 reports a module that does not parse.
 
 The dynamic half, :func:`confirm_heat`, replays a small app/design grid
 twice — fast wiring vs. :meth:`GPUSystem.force_slow_path` — and requires
@@ -51,7 +27,6 @@ line, SimLint convention.
 from __future__ import annotations
 
 import ast
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -61,8 +36,8 @@ from repro.analysis.core import (
     Rule,
     Severity,
     normalize_select,
-    parse_files,
     parse_module,
+    scan_files,
     sort_findings,
 )
 from repro.analysis.simrace import (
@@ -82,16 +57,7 @@ __all__ = [
 ]
 
 HEAT_RULES: List[Rule] = [
-    Rule("SH600", Severity.ERROR,
-         "module failed to parse (twin manifests unverifiable)"),
-    Rule("SH601", Severity.ERROR,
-         "fast twin diverges from its slow twin (arithmetic/schedule drift)"),
-    Rule("SH602", Severity.ERROR,
-         "counter updated on only one side of a twin pair"),
-    Rule("SH603", Severity.ERROR,
-         "unreachable fast path (never wired, or gate can never hold)"),
-    Rule("SH604", Severity.ERROR,
-         "slow-twin call inside a fast-path branch"),
+    Rule("SH600", Severity.ERROR, "module failed to parse"),
     Rule("SH611", Severity.WARNING,
          "per-event allocation in a hot handler (container/closure/f-string)"),
     Rule("SH612", Severity.WARNING,
@@ -105,9 +71,8 @@ HEAT_RULES: List[Rule] = [
 ]
 
 #: ``self`` attributes (and bare names) that are instrumentation, not
-#: model semantics: statements/branches keyed on them are elided before
-#: twin comparison, and code under their guards is exempt from the
-#: hot-path rules.  Modules may extend this via ``SIMHEAT_ELIDABLE``.
+#: model semantics: code under guards keyed on them is exempt from the
+#: hot-path rules, and calls made there do not make a function hot.
 ELIDABLE_ATTRS: Set[str] = {
     "_ledger", "ledger", "_sanitizer", "_watchdog", "owner", "holder",
     "holder_since", "_fast", "_force_slow", "_note", "_live_audit",
@@ -127,57 +92,22 @@ _SINK_VERBS: Set[str] = {
 _LOG_METHODS: Set[str] = {"debug", "info", "warning", "error", "critical",
                           "exception", "log"}
 
-#: The canonical reservation arithmetic ("inline" mode matches each
-#: hand-inlined block of a fast twin against this, alpha-renaming
-#: ``p``/``now``/``size``/locals; ``ret`` stands for assign-or-return).
-_RESERVE_TEMPLATE_SRC = """\
-start = now if now > p.next_free else p.next_free
-occupancy = p.service * size
-p.next_free = start + occupancy
-p.busy_cycles += occupancy
-p.num_served += 1
-ret = start + occupancy + p.latency
-"""
-
 
 @dataclass(frozen=True)
 class HeatFinding(Finding):
-    """One twin-drift or hot-path-hygiene violation."""
+    """One hot-path-hygiene violation (or an SH600 parse failure)."""
 
-    #: Hot handler the finding sits in (family two; confirmer grading).
+    #: Hot handler the finding sits in (confirmer grading).
     handler: str = ""
-    #: ``fast->slow`` pair label (family one; confirmer grading).
-    pair: str = ""
 
 
 # ------------------------------------------------------------ manifests
 
 
 @dataclass
-class _Pair:
-    fast: str                  # "Class.method"
-    slows: Tuple[str, ...]     # one or more "Class.method"
-    mode: str
-    options: Dict[str, object]
-
-    @property
-    def label(self) -> str:
-        return f"{self.fast}->{self.slows[0]}"
-
-    @property
-    def fast_name(self) -> str:
-        return self.fast.rsplit(".", 1)[-1]
-
-    def slow_names(self) -> Set[str]:
-        return {s.rsplit(".", 1)[-1] for s in self.slows}
-
-
-@dataclass
 class _Manifest:
-    pairs: List[_Pair] = field(default_factory=list)
     hot_functions: Tuple[str, ...] = ()
     safe_sinks: Set[str] = field(default_factory=set)
-    elidable: Set[str] = field(default_factory=set)
 
 
 def _extract_manifest(tree: ast.Module) -> _Manifest:
@@ -187,27 +117,16 @@ def _extract_manifest(tree: ast.Module) -> _Manifest:
                 and isinstance(stmt.targets[0], ast.Name)):
             continue
         name = stmt.targets[0].id
-        if name not in ("FAST_PATH_PAIRS", "SIMHEAT_HOT_FUNCTIONS",
-                        "SIMHEAT_REQUEST_SAFE_SINKS", "SIMHEAT_ELIDABLE"):
+        if name not in ("SIMHEAT_HOT_FUNCTIONS", "SIMHEAT_REQUEST_SAFE_SINKS"):
             continue
         try:
             value = ast.literal_eval(stmt.value)
         except (ValueError, SyntaxError):
             continue
-        if name == "FAST_PATH_PAIRS":
-            for entry in value:
-                entry = tuple(entry)
-                fast, slow = entry[0], entry[1]
-                mode = entry[2] if len(entry) > 2 else "lockstep"
-                opts = dict(entry[3]) if len(entry) > 3 else {}
-                slows = tuple(slow) if isinstance(slow, (tuple, list)) else (slow,)
-                man.pairs.append(_Pair(fast, slows, mode, opts))
-        elif name == "SIMHEAT_HOT_FUNCTIONS":
+        if name == "SIMHEAT_HOT_FUNCTIONS":
             man.hot_functions = tuple(value)
-        elif name == "SIMHEAT_REQUEST_SAFE_SINKS":
+        else:
             man.safe_sinks = set(value)
-        elif name == "SIMHEAT_ELIDABLE":
-            man.elidable = set(value)
     return man
 
 
@@ -259,70 +178,14 @@ def _mentions(node: ast.AST, names: Set[str]) -> bool:
     return False
 
 
-class _Subst(ast.NodeTransformer):
-    """Replace Load-context Names by (copies of) bound expressions."""
-
-    def __init__(self, env: Dict[str, ast.AST]):
-        self.env = env
-
-    def visit_Name(self, node: ast.Name):
-        if isinstance(node.ctx, ast.Load) and node.id in self.env:
-            return copy.deepcopy(self.env[node.id])
-        return node
-
-
-def _substitute(node: ast.AST, env: Dict[str, ast.AST],
-                rounds: int = 4) -> ast.AST:
-    """Substitute ``env`` bindings into a copy of ``node`` to fixpoint
-    (bounded — locals may reference other locals)."""
-    out = copy.deepcopy(node)
-    for _ in range(rounds):
-        before = ast.dump(out)
-        out = _Subst(env).visit(out)
-        if ast.dump(out) == before:
-            break
-    return out
-
-
-def _norm(node: ast.AST, env: Optional[Dict[str, ast.AST]] = None) -> str:
-    """Canonical text of an expression/statement, locals substituted."""
-    if env:
-        node = _substitute(node, env)
-    return ast.unparse(node)
-
-
-def _env_of(func: ast.FunctionDef) -> Dict[str, ast.AST]:
-    """Single-assignment locals of ``func``, including elementwise tuple
-    unpacking (``m, n = self._m, self._n``) which
-    :func:`single_assignment_defs` skips."""
-    env = dict(single_assignment_defs(func))
-    counts: Dict[str, int] = {}
-    for node in ast.walk(func):
-        for tgt in (node.targets if isinstance(node, ast.Assign) else
-                    [node.target] if isinstance(node, (ast.AugAssign,
-                                                       ast.AnnAssign)) else []):
-            for sub in ast.walk(tgt):
-                if isinstance(sub, ast.Name):
-                    counts[sub.id] = counts.get(sub.id, 0) + 1
-    for node in ast.walk(func):
-        if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Tuple)
-                and isinstance(node.value, ast.Tuple)
-                and len(node.targets[0].elts) == len(node.value.elts)):
-            for t, v in zip(node.targets[0].elts, node.value.elts):
-                if isinstance(t, ast.Name) and counts.get(t.id, 0) == 1:
-                    env[t.id] = v
-    return env
-
-
 # --------------------------------------------------------- elision logic
 
 
-def _is_elidable_test(test: ast.AST, elidable: Set[str]) -> bool:
+def _is_elidable_test(test: ast.AST) -> bool:
     """True for guards that exist purely for instrumentation: any test
     mentioning an elidable attribute (``owner is not None``,
     ``self._ledger is not None``, ``not self._fast`` …)."""
-    return _mentions(test, elidable)
+    return _mentions(test, ELIDABLE_ATTRS)
 
 
 def _is_raise_only(body: List[ast.stmt]) -> bool:
@@ -355,64 +218,32 @@ def _fast_gate_names(func: ast.FunctionDef) -> Set[str]:
     return names
 
 
-def _elide_statements(body: Sequence[ast.stmt],
-                      elidable: Set[str]) -> List[ast.stmt]:
+def _elide_statements(body: Sequence[ast.stmt]) -> List[ast.stmt]:
     """Drop instrumentation statements from a statement list (shallow:
     nested compound statements are kept whole unless elidable)."""
     out: List[ast.stmt] = []
     for stmt in body:
         if isinstance(stmt, ast.If) and (
-                _is_elidable_test(stmt.test, elidable)
+                _is_elidable_test(stmt.test)
                 or _is_raise_only(stmt.body)):
             continue
         if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = (stmt.targets if isinstance(stmt, ast.Assign)
                        else [stmt.target])
             roots = [_self_attr(t) for t in targets]
-            if roots and all(r in elidable for r in roots if r is not None) \
+            if roots and all(r in ELIDABLE_ATTRS
+                             for r in roots if r is not None) \
                     and any(r is not None for r in roots):
                 continue
         if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
             attr = getattr(stmt.value.func, "attr", None)
-            if attr in elidable:
+            if attr in ELIDABLE_ATTRS:
                 continue
         out.append(stmt)
     return out
 
 
-# ------------------------------------------------------ effect sequences
-
-
-def _effect_sequence(func: ast.FunctionDef,
-                     elidable: Set[str]) -> List[str]:
-    """Normalized statement texts of ``func`` with instrumentation elided
-    and single-assignment locals substituted ("lockstep" comparison)."""
-    env = _env_of(func)
-    out: List[str] = []
-    for stmt in _elide_statements(func.body, elidable):
-        if (isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Constant)):
-            continue  # docstring
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
-                and isinstance(stmt.targets[0], ast.Name) \
-                and stmt.targets[0].id in env:
-            continue  # definition of a substituted local
-        if isinstance(stmt, ast.Return) and stmt.value is not None:
-            out.append(f"return {_norm(stmt.value, env)}")
-        else:
-            out.append(_norm(stmt, env))
-    return out
-
-
-def _counter_targets(func: ast.FunctionDef, elidable: Set[str]) -> Set[str]:
-    """Self-rooted AugAssign targets — the batched result counters."""
-    out: Set[str] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.AugAssign):
-            attr = _self_attr(node.target)
-            if attr is not None and attr not in elidable:
-                out.add(attr)
-    return out
+# ---------------------------------------------------------- call graph
 
 
 def _schedule_callbacks(func: ast.FunctionDef) -> Set[str]:
@@ -436,12 +267,12 @@ def _schedule_callbacks(func: ast.FunctionDef) -> Set[str]:
     return out
 
 
-def _self_call_names(func: ast.FunctionDef, elidable: Set[str]) -> Set[str]:
+def _self_call_names(func: ast.FunctionDef) -> Set[str]:
     """Names of self-methods called outside elided contexts."""
     out: Set[str] = set()
 
     def walk(stmts: Sequence[ast.stmt]) -> None:
-        for stmt in _elide_statements(stmts, elidable):
+        for stmt in _elide_statements(stmts):
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Call) and isinstance(
                         node.func, ast.Attribute):
@@ -453,535 +284,11 @@ def _self_call_names(func: ast.FunctionDef, elidable: Set[str]) -> Set[str]:
     return out
 
 
-# -------------------------------------------------- alpha-equivalence
-
-
-def _alpha_eq(a: ast.AST, b: ast.AST, fwd: Dict[str, str],
-              rev: Dict[str, str]) -> bool:
-    """Structural equality of two expressions modulo a consistent
-    renaming of bare Names (attribute names and constants must match)."""
-    if isinstance(a, ast.Name) and isinstance(b, ast.Name):
-        if a.id in fwd:
-            return fwd[a.id] == b.id
-        if b.id in rev:
-            return False
-        fwd[a.id] = b.id
-        rev[b.id] = a.id
-        return True
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, ast.Attribute):
-        return a.attr == b.attr and _alpha_eq(a.value, b.value, fwd, rev)
-    if isinstance(a, ast.Constant):
-        return a.value == b.value and type(a.value) is type(b.value)
-    for fname, fa in ast.iter_fields(a):
-        if fname in ("ctx", "lineno", "col_offset", "end_lineno",
-                     "end_col_offset", "type_comment"):
-            continue
-        fb = getattr(b, fname)
-        if isinstance(fa, ast.AST):
-            if not isinstance(fb, ast.AST) or not _alpha_eq(fa, fb, fwd, rev):
-                return False
-        elif isinstance(fa, list):
-            if not isinstance(fb, list) or len(fa) != len(fb):
-                return False
-            for xa, xb in zip(fa, fb):
-                if isinstance(xa, ast.AST):
-                    if not _alpha_eq(xa, xb, fwd, rev):
-                        return False
-                elif xa != xb:
-                    return False
-        else:
-            if fa != fb:
-                return False
-    return True
-
-
-def _as_assignment(stmt: ast.stmt) -> Optional[Tuple[ast.AST, ast.AST]]:
-    """View a statement as (target, value): Assign-to-one-target,
-    AugAssign (kept as-is via a marker), or Return (target ``ret``)."""
-    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-        return stmt.targets[0], stmt.value
-    if isinstance(stmt, ast.Return) and stmt.value is not None:
-        return ast.Name(id="ret", ctx=ast.Store()), stmt.value
-    return None
-
-
-def _match_reserve_block(block: List[ast.stmt]) -> bool:
-    """Alpha-match one inlined block against the reserve template."""
-    template = ast.parse(_RESERVE_TEMPLATE_SRC).body
-    if len(block) != len(template):
-        return False
-    fwd: Dict[str, str] = {}
-    rev: Dict[str, str] = {}
-    for tstmt, cstmt in zip(template, block):
-        if isinstance(tstmt, ast.AugAssign):
-            if not isinstance(cstmt, ast.AugAssign):
-                return False
-            if type(tstmt.op) is not type(cstmt.op):
-                return False
-            if not _alpha_eq(tstmt.target, cstmt.target, fwd, rev):
-                return False
-            if not _alpha_eq(tstmt.value, cstmt.value, fwd, rev):
-                return False
-            continue
-        tpair = _as_assignment(tstmt)
-        cpair = _as_assignment(cstmt)
-        if tpair is None or cpair is None:
-            return False
-        ttgt, tval = tpair
-        ctgt, cval = cpair
-        # ``ret = ...`` in the template accepts assignment or return.
-        if not _alpha_eq(tval, cval, fwd, rev):
-            return False
-        if isinstance(ttgt, ast.Name) and ttgt.id == "ret":
-            continue
-        # Targets: Name<->Name via the map, attributes structurally.
-        tk = ast.Name(id=ttgt.id, ctx=ast.Load()) if isinstance(ttgt, ast.Name) else ttgt
-        ck = ast.Name(id=ctgt.id, ctx=ast.Load()) if isinstance(ctgt, ast.Name) else ctgt
-        if not _alpha_eq(tk, ck, fwd, rev):
-            return False
-    return True
-
-
-# ----------------------------------------------------- pair comparison
-
-
-def _count_reserve_calls(func: ast.FunctionDef, slow_names: Set[str]) -> int:
-    n = 0
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in slow_names:
-                n += 1
-    return n
-
-
-def _check_lockstep(pair: _Pair, fast: ast.FunctionDef,
-                    slow: ast.FunctionDef, elidable: Set[str],
-                    ctx: ModuleContext) -> List[HeatFinding]:
-    out: List[HeatFinding] = []
-    seq_fast = _effect_sequence(fast, elidable)
-    seq_slow = _effect_sequence(slow, elidable)
-    if seq_fast != seq_slow:
-        extra_f = [s for s in seq_fast if s not in seq_slow]
-        extra_s = [s for s in seq_slow if s not in seq_fast]
-        detail = "; ".join(
-            ([f"fast-only: {extra_f[0]!r}"] if extra_f else [])
-            + ([f"slow-only: {extra_s[0]!r}"] if extra_s else [])
-        ) or "statement order differs"
-        out.append(HeatFinding(
-            ctx.path, fast.lineno, fast.col_offset, "SH601", Severity.ERROR,
-            f"{pair.fast} drifts from {pair.slows[0]} after eliding "
-            f"instrumentation ({detail})", pair=pair.label))
-    return out
-
-
-def _check_inline(pair: _Pair, fast: ast.FunctionDef,
-                  slow: ast.FunctionDef, elidable: Set[str],
-                  ctx: ModuleContext) -> List[HeatFinding]:
-    out: List[HeatFinding] = []
-    want = _count_reserve_calls(slow, {"reserve", "reserve_fast"})
-    # Segment the fast body into inlined blocks at receiver rebinds:
-    # an Assign whose RHS is a subscript/attribute lookup starts a block.
-    body = _elide_statements(fast.body, elidable)
-    blocks: List[List[ast.stmt]] = []
-    cur: Optional[List[ast.stmt]] = None
-    for stmt in body:
-        if (isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Constant)):
-            continue
-        if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, (ast.Subscript, ast.Attribute))):
-            if cur:
-                blocks.append(cur)
-            cur = []
-            continue
-        if cur is not None:
-            cur.append(stmt)
-        elif isinstance(stmt, ast.AugAssign):
-            continue  # leading counters (checked by SH602)
-    if cur:
-        blocks.append(cur)
-    if len(blocks) != want:
-        out.append(HeatFinding(
-            ctx.path, fast.lineno, fast.col_offset, "SH601", Severity.ERROR,
-            f"{pair.fast} inlines {len(blocks)} reservation block(s) but "
-            f"{pair.slows[0]} makes {want} reservation call(s)",
-            pair=pair.label))
-        return out
-    for i, block in enumerate(blocks):
-        if not _match_reserve_block(block):
-            out.append(HeatFinding(
-                ctx.path, fast.lineno, fast.col_offset, "SH601",
-                Severity.ERROR,
-                f"{pair.fast} inlined block {i + 1} does not match the "
-                "Server.reserve arithmetic template", pair=pair.label))
-    return out
-
-
-def _branch_returns(func: ast.FunctionDef) -> List[Tuple[Optional[ast.AST], ast.AST]]:
-    """(condition, return-expression) per early-return branch; the final
-    bare Return has condition None."""
-    out: List[Tuple[Optional[ast.AST], ast.AST]] = []
-    for stmt in func.body:
-        if (isinstance(stmt, ast.If) and not stmt.orelse and stmt.body
-                and isinstance(stmt.body[-1], ast.Return)):
-            out.append((stmt.test, stmt.body[-1].value))
-        elif isinstance(stmt, ast.Return) and stmt.value is not None:
-            out.append((None, stmt.value))
-    return out
-
-
-def _conditional_defs(func: ast.FunctionDef) -> List[Tuple[Optional[ast.AST], Optional[ast.FunctionDef]]]:
-    """(condition, closure def) per branch of a factory's if/elif/else."""
-    out: List[Tuple[Optional[ast.AST], Optional[ast.FunctionDef]]] = []
-
-    def first_def(stmts: Sequence[ast.stmt]) -> Optional[ast.FunctionDef]:
-        for s in stmts:
-            if isinstance(s, ast.FunctionDef):
-                return s
-        return None
-
-    def walk_if(node: ast.If) -> None:
-        out.append((node.test, first_def(node.body)))
-        if len(node.orelse) == 1 and isinstance(node.orelse[0], ast.If):
-            walk_if(node.orelse[0])
-        elif node.orelse:
-            out.append((None, first_def(node.orelse)))
-
-    for stmt in func.body:
-        if isinstance(stmt, ast.If):
-            walk_if(stmt)
-    if not out:
-        inner = first_def(func.body)
-        if inner is not None:
-            out.append((None, inner))
-    return out
-
-
-class _CallReplacer(ast.NodeTransformer):
-    """Replace ``self.<helper>(args)`` calls with an expression."""
-
-    def __init__(self, helper: str, replacement: ast.AST):
-        self.helper = helper
-        self.replacement = replacement
-
-    def visit_Call(self, node: ast.Call):
-        self.generic_visit(node)
-        if isinstance(node.func, ast.Attribute) and node.func.attr == self.helper:
-            return copy.deepcopy(self.replacement)
-        return node
-
-
-def _check_closure(pair: _Pair, fast: ast.FunctionDef,
-                   slow: ast.FunctionDef, defs: Dict[str, ast.FunctionDef],
-                   ctx: ModuleContext) -> List[HeatFinding]:
-    out: List[HeatFinding] = []
-    cls = pair.slows[0].rsplit(".", 1)[0]
-    helpers = [str(h) for h in pair.options.get("inline_helpers", [])]
-    env_slow = _env_of(slow)
-
-    # Canonical branches: the slow twin's return with each helper branch
-    # inlined (helper params substituted by the call arguments).
-    slow_ret = None
-    for stmt in slow.body:
-        if isinstance(stmt, ast.Return) and stmt.value is not None:
-            slow_ret = _substitute(stmt.value, env_slow)
-    if slow_ret is None:
-        return out
-    canonical: List[Tuple[Optional[ast.AST], ast.AST]] = [(None, slow_ret)]
-    for helper_name in helpers:
-        helper = defs.get(f"{cls}.{helper_name}")
-        if helper is None:
-            continue
-        call_args: List[ast.AST] = []
-        for node in ast.walk(slow):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr == helper_name:
-                call_args = node.args
-        params = [a.arg for a in helper.args.args if a.arg != "self"]
-        param_env = {p: _substitute(a, env_slow)
-                     for p, a in zip(params, call_args)}
-        expanded: List[Tuple[Optional[ast.AST], ast.AST]] = []
-        for cond, hret in _branch_returns(helper):
-            hret_sub = _substitute(hret, param_env)
-            cond_sub = _substitute(cond, param_env) if cond is not None else None
-            for base_cond, base in canonical:
-                replaced = _CallReplacer(helper_name, hret_sub).visit(
-                    copy.deepcopy(base))
-                use_cond = cond_sub if cond_sub is not None else base_cond
-                expanded.append((use_cond, replaced))
-        canonical = expanded
-
-    closures = _conditional_defs(fast)
-    if len(closures) != len(canonical):
-        out.append(HeatFinding(
-            ctx.path, fast.lineno, fast.col_offset, "SH601", Severity.ERROR,
-            f"{pair.fast} builds {len(closures)} specialized closure(s) but "
-            f"the canonical {pair.slows[0]} has {len(canonical)} branch(es)",
-            pair=pair.label))
-        return out
-
-    env_fast = _env_of(fast)
-    for i, ((fcond, closure), (scond, canon)) in enumerate(
-            zip(closures, canonical)):
-        where = closure.lineno if closure is not None else fast.lineno
-        if (fcond is None) != (scond is None):
-            out.append(HeatFinding(
-                ctx.path, where, fast.col_offset, "SH601", Severity.ERROR,
-                f"{pair.fast} branch {i + 1} guard structure differs from "
-                f"the canonical {pair.slows[0]}", pair=pair.label))
-            continue
-        if fcond is not None and _norm(fcond, env_fast) != ast.unparse(scond):
-            out.append(HeatFinding(
-                ctx.path, where, fast.col_offset, "SH601", Severity.ERROR,
-                f"{pair.fast} branch {i + 1} guard "
-                f"{_norm(fcond, env_fast)!r} != canonical "
-                f"{ast.unparse(scond)!r}", pair=pair.label))
-            continue
-        if closure is None:
-            out.append(HeatFinding(
-                ctx.path, where, fast.col_offset, "SH601", Severity.ERROR,
-                f"{pair.fast} branch {i + 1} builds no closure",
-                pair=pair.label))
-            continue
-        cret = None
-        for stmt in closure.body:
-            if isinstance(stmt, ast.Return) and stmt.value is not None:
-                cret = stmt.value
-        if cret is None:
-            continue
-        got = _norm(cret, env_fast)
-        accepted = {ast.unparse(canon)}
-        # Degenerate-branch simplification: when the canonical branch adds
-        # a constant 0 under an ``M == 1`` guard, the specialized closure
-        # may drop the ``* M + 0`` terms entirely.
-        node = canon
-        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
-                and isinstance(node.right, ast.Constant)
-                and node.right.value == 0):
-            accepted.add(ast.unparse(node.left))
-            inner = node.left
-            if isinstance(inner, ast.BinOp) and isinstance(inner.op, ast.Mult):
-                accepted.add(ast.unparse(inner.left))
-        if got not in accepted:
-            out.append(HeatFinding(
-                ctx.path, closure.lineno, closure.col_offset, "SH601",
-                Severity.ERROR,
-                f"{pair.fast} closure {got!r} does not match canonical "
-                f"{ast.unparse(canon)!r}", pair=pair.label))
-    return out
-
-
-def _check_specialized(pair: _Pair, fast: ast.FunctionDef,
-                       slow: ast.FunctionDef, elidable: Set[str],
-                       ctx: ModuleContext) -> List[HeatFinding]:
-    out: List[HeatFinding] = []
-    cb_fast = _schedule_callbacks(fast)
-    cb_slow = _schedule_callbacks(slow)
-    extra = cb_fast - cb_slow
-    if extra:
-        out.append(HeatFinding(
-            ctx.path, fast.lineno, fast.col_offset, "SH601", Severity.ERROR,
-            f"{pair.fast} schedules handler(s) {sorted(extra)} that "
-            f"{pair.slows[0]} never schedules", pair=pair.label))
-    # Assignments both sides make to the same object attribute must agree
-    # (after local substitution) — e.g. req.mc_id derivation.
-    env_f, env_s = _env_of(fast), _env_of(slow)
-
-    def attr_assigns(func: ast.FunctionDef, env) -> Dict[str, Set[str]]:
-        got: Dict[str, Set[str]] = {}
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                tgt = node.targets[0]
-                if isinstance(tgt, ast.Attribute) and isinstance(
-                        tgt.value, ast.Name) and tgt.value.id != "self":
-                    key = tgt.attr
-                    got.setdefault(key, set()).add(_norm(node.value, env))
-        return got
-
-    a_fast = attr_assigns(fast, env_f)
-    a_slow = attr_assigns(slow, env_s)
-    for attr in sorted(set(a_fast) & set(a_slow)):
-        if not (a_fast[attr] & a_slow[attr]):
-            out.append(HeatFinding(
-                ctx.path, fast.lineno, fast.col_offset, "SH601",
-                Severity.ERROR,
-                f"{pair.fast} and {pair.slows[0]} assign .{attr} "
-                f"differently ({sorted(a_fast[attr])[0]!r} vs "
-                f"{sorted(a_slow[attr])[0]!r})", pair=pair.label))
-    return out
-
-
-def _check_counters(pair: _Pair, fast: ast.FunctionDef,
-                    slow: ast.FunctionDef, elidable: Set[str],
-                    ctx: ModuleContext) -> List[HeatFinding]:
-    out: List[HeatFinding] = []
-    slow_only = {str(c) for c in pair.options.get("slow_only_counters", [])}
-    c_fast = _counter_targets(fast, elidable)
-    c_slow = _counter_targets(slow, elidable)
-    fast_missing = (c_slow - slow_only) - c_fast
-    slow_missing = c_fast - c_slow
-    undeclared = c_fast & slow_only
-    for name in sorted(fast_missing):
-        out.append(HeatFinding(
-            ctx.path, fast.lineno, fast.col_offset, "SH602", Severity.ERROR,
-            f"counter {name} is updated by {pair.slows[0]} but not by "
-            f"{pair.fast}", pair=pair.label))
-    for name in sorted(slow_missing):
-        out.append(HeatFinding(
-            ctx.path, slow.lineno, slow.col_offset, "SH602", Severity.ERROR,
-            f"counter {name} is updated by {pair.fast} but not by "
-            f"{pair.slows[0]}", pair=pair.label))
-    for name in sorted(undeclared):
-        out.append(HeatFinding(
-            ctx.path, fast.lineno, fast.col_offset, "SH602", Severity.ERROR,
-            f"counter {name} is declared slow-only but updated by "
-            f"{pair.fast}", pair=pair.label))
-    return out
-
-
-# -------------------------------------------------------- gate checks
-
-
-def _check_gates(tree: ast.Module, man: _Manifest, elidable: Set[str],
-                 refs: Dict[str, int], ctx: ModuleContext
-                 ) -> List[HeatFinding]:
-    """SH603: a fast path that can never run — either its gating
-    predicate is contradictory, or the fast member is never wired in."""
-    out: List[HeatFinding] = []
-    # (b) contradictory gates: within a class whose wiring assigns
-    # ``self._fast = self.<X> is None ...``, a test ANDing a positive
-    # ``_fast`` with ``self.<X> is not None`` can never hold.
-    for cls in [s for s in tree.body if isinstance(s, ast.ClassDef)]:
-        none_keyed: Set[str] = set()
-        for node in ast.walk(cls):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                    and _self_attr(node.targets[0]) == "_fast":
-                for sub in ast.walk(node.value):
-                    if isinstance(sub, ast.Compare) and len(sub.ops) == 1 \
-                            and isinstance(sub.ops[0], ast.Is) \
-                            and isinstance(sub.comparators[0], ast.Constant) \
-                            and sub.comparators[0].value is None:
-                        attr = _self_attr(sub.left)
-                        if attr is not None:
-                            none_keyed.add(attr)
-        if not none_keyed:
-            continue
-        for node in ast.walk(cls):
-            if not isinstance(node, (ast.If, ast.IfExp)):
-                continue
-            test = node.test
-            if not (isinstance(test, ast.BoolOp)
-                    and isinstance(test.op, ast.And)):
-                continue
-            has_fast = any(
-                (isinstance(op, ast.Attribute) and op.attr == "_fast")
-                or (isinstance(op, ast.Name) and op.id == "_fast")
-                for op in test.values)
-            contradicted = any(
-                isinstance(op, ast.Compare) and len(op.ops) == 1
-                and isinstance(op.ops[0], ast.IsNot)
-                and isinstance(op.comparators[0], ast.Constant)
-                and op.comparators[0].value is None
-                and _self_attr(op.left) in none_keyed
-                for op in test.values)
-            if has_fast and contradicted \
-                    and not ctx.suppressed("SH603", test.lineno):
-                out.append(HeatFinding(
-                    ctx.path, test.lineno, test.col_offset, "SH603",
-                    Severity.ERROR,
-                    "fast-path gate can never hold: self._fast implies the "
-                    "ledger is None but the gate also requires it attached"))
-    # (a) unreferenced fast member.
-    for pair in man.pairs:
-        if refs.get(pair.fast_name, 0) < 1:
-            fdef = _collect_defs(tree).get(pair.fast)
-            line = fdef.lineno if fdef is not None else 1
-            if not ctx.suppressed("SH603", line):
-                out.append(HeatFinding(
-                    ctx.path, line, 0, "SH603", Severity.ERROR,
-                    f"fast path {pair.fast} is declared in FAST_PATH_PAIRS "
-                    "but never referenced (never wired in)",
-                    pair=pair.label))
-    return out
-
-
-def _check_slow_calls_in_fast(tree: ast.Module, man: _Manifest,
-                              defs: Dict[str, ast.FunctionDef],
-                              ctx: ModuleContext) -> List[HeatFinding]:
-    """SH604: a slow-twin call inside a positive ``self._fast`` branch or
-    inside a fast twin's own body."""
-    out: List[HeatFinding] = []
-    slow_names: Set[str] = set()
-    for pair in man.pairs:
-        slow_names |= pair.slow_names()
-    if not slow_names:
-        return out
-
-    def scan(stmts: Sequence[ast.stmt], in_fast: bool, gates: Set[str],
-             pair_label: str) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.If,)):
-                truth = _fast_truthiness(stmt.test, gates)
-                scan(stmt.body, in_fast or truth is True, gates, pair_label)
-                scan(stmt.orelse, in_fast if truth is None else
-                     (in_fast or truth is False is False and False),
-                     gates, pair_label)
-                continue
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.IfExp):
-                    truth = _fast_truthiness(node.test, gates)
-                    if truth is True:
-                        _flag_calls(node.body, pair_label)
-                    elif truth is False:
-                        _flag_calls(node.orelse, pair_label)
-                if in_fast and isinstance(node, ast.Call):
-                    _flag_call(node, pair_label)
-            if in_fast:
-                continue
-            # Non-fast region: IfExp true-arms gated on fast still count,
-            # handled in the walk above.
-
-    def _flag_calls(node: ast.AST, pair_label: str) -> None:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call):
-                _flag_call(sub, pair_label)
-
-    flagged: Set[int] = set()
-
-    def _flag_call(node: ast.Call, pair_label: str) -> None:
-        name = getattr(node.func, "attr", None) or (
-            node.func.id if isinstance(node.func, ast.Name) else None)
-        if name in slow_names and id(node) not in flagged \
-                and not ctx.suppressed("SH604", node.lineno):
-            flagged.add(id(node))
-            out.append(HeatFinding(
-                ctx.path, node.lineno, node.col_offset, "SH604",
-                Severity.ERROR,
-                f"slow twin {name}() called on the fast path "
-                "(use the fast twin or hoist the call)", pair=pair_label))
-
-    fast_defs = {p.fast: p.label for p in man.pairs}
-    for cls in [s for s in tree.body if isinstance(s, ast.ClassDef)]:
-        for func in [s for s in cls.body if isinstance(s, ast.FunctionDef)]:
-            qual = f"{cls.name}.{func.name}"
-            gates = _fast_gate_names(func)
-            if qual in fast_defs:
-                # Everything in a fast twin's body is fast context,
-                # including closures a factory builds.
-                scan(func.body, True, gates, fast_defs[qual])
-            else:
-                scan(func.body, False, gates, "")
-    return out
-
-
 # ----------------------------------------------------- hot-path hygiene
 
 
-def _hot_handlers(tree: ast.Module, man: _Manifest,
-                  elidable: Set[str]) -> Dict[str, ast.FunctionDef]:
+def _hot_handlers(tree: ast.Module,
+                  man: _Manifest) -> Dict[str, ast.FunctionDef]:
     """Qualname -> def of every function held to the hot-path rules."""
     defs = _collect_defs(tree)
     hot: Dict[str, ast.FunctionDef] = {}
@@ -992,10 +299,6 @@ def _hot_handlers(tree: ast.Module, man: _Manifest,
         seeds: Set[str] = set()
         for func in [s for s in cls.body if isinstance(s, ast.FunctionDef)]:
             seeds |= _schedule_callbacks(func)
-        for pair in man.pairs:
-            c, _, m = pair.fast.rpartition(".")
-            if c == cls.name:
-                seeds.add(m)
         # Transitive self-call closure, skipping elided contexts.
         frontier = [s for s in seeds]
         seen: Set[str] = set()
@@ -1008,7 +311,7 @@ def _hot_handlers(tree: ast.Module, man: _Manifest,
             if func is None:
                 continue
             hot[f"{cls.name}.{name}"] = func
-            for callee in _self_call_names(func, elidable):
+            for callee in _self_call_names(func):
                 if callee not in seen and f"{cls.name}.{callee}" in defs:
                     frontier.append(callee)
     return hot
@@ -1019,12 +322,10 @@ class _HotScanner:
     honouring elided (instrumentation-only) regions."""
 
     def __init__(self, qual: str, func: ast.FunctionDef, man: _Manifest,
-                 elidable: Set[str], select: Optional[Set[str]],
-                 ctx: ModuleContext):
+                 select: Optional[Set[str]], ctx: ModuleContext):
         self.qual = qual
         self.func = func
         self.man = man
-        self.elidable = elidable
         self.select = select
         self.ctx = ctx
         self.gates = _fast_gate_names(func)
@@ -1052,7 +353,7 @@ class _HotScanner:
     def _scan_stmts(self, stmts: Sequence[ast.stmt], in_loop: bool) -> None:
         for stmt in stmts:
             if isinstance(stmt, ast.If):
-                if _is_elidable_test(stmt.test, self.elidable) \
+                if _is_elidable_test(stmt.test) \
                         or _is_raise_only(stmt.body):
                     truth = _fast_truthiness(stmt.test, self.gates)
                     if truth is True:
@@ -1083,7 +384,7 @@ class _HotScanner:
                 self._scan_stmts(stmt.finalbody, in_loop)
                 continue
             if isinstance(stmt, ast.FunctionDef):
-                continue  # nested factories are their own twins
+                continue  # a nested def runs when called, not here
             self._scan_expr_stmt(stmt, in_loop)
 
     def _scan_test(self, test: ast.AST, in_loop: bool) -> None:
@@ -1091,7 +392,7 @@ class _HotScanner:
 
     def _scan_expr_stmt(self, stmt: ast.stmt, in_loop: bool) -> None:
         # Skip instrumentation assignments/calls outright.
-        for one in _elide_statements([stmt], self.elidable):
+        for one in _elide_statements([stmt]):
             self._scan_node(one, in_loop)
             self._check_escape(one)
 
@@ -1191,7 +492,7 @@ class _HotScanner:
             root, attrs = _attr_root_and_chain(node)
             if root != "self" or len(attrs) < 2:
                 continue
-            if attrs[0] in self.elidable or attrs[-1] in self.elidable:
+            if attrs[0] in ELIDABLE_ATTRS or attrs[-1] in ELIDABLE_ATTRS:
                 continue
             text = ast.unparse(node)
             seen.setdefault(text, []).append(node)
@@ -1220,7 +521,7 @@ class _HotScanner:
                            and a.id in _REQUEST_NAMES for a in node.args):
                     continue
                 attr = _self_attr(node.func.value)
-                if attr is None or attr in safe or attr in self.elidable:
+                if attr is None or attr in safe or attr in ELIDABLE_ATTRS:
                     continue
                 self._emit(node, "SH614", Severity.ERROR,
                            f"pooled request stored into self.{attr} in "
@@ -1233,7 +534,7 @@ class _HotScanner:
                     and isinstance(node.value, ast.Name) \
                     and node.value.id in _REQUEST_NAMES:
                 attr = _self_attr(node.targets[0])
-                if attr is None or attr in safe or attr in self.elidable:
+                if attr is None or attr in safe or attr in ELIDABLE_ATTRS:
                     continue
                 self._emit(node, "SH614", Severity.ERROR,
                            f"pooled request stored into self.{attr}[...] in "
@@ -1244,108 +545,25 @@ class _HotScanner:
 # ------------------------------------------------------------- drivers
 
 
-def _reference_counts(trees: Sequence[ast.Module],
-                      manifests: Sequence[_Manifest]) -> Dict[str, int]:
-    """Package-wide attribute/name reference counts for the fast members
-    (the SH603 never-wired check).  The defining FunctionDef itself does
-    not contribute (its name is not a Name/Attribute node)."""
-    wanted: Set[str] = set()
-    for man in manifests:
-        for pair in man.pairs:
-            wanted.add(pair.fast_name)
-    counts: Dict[str, int] = {}
-    for tree in trees:
-        for node in ast.walk(tree):
-            name = None
-            if isinstance(node, ast.Attribute) and node.attr in wanted:
-                name = node.attr
-            elif isinstance(node, ast.Name) and node.id in wanted:
-                name = node.id
-            if name is not None:
-                counts[name] = counts.get(name, 0) + 1
-    return counts
-
-
-def _analyze_tree(tree: ast.Module, source: str, path: str,
-                  select: Optional[Set[str]],
-                  refs: Dict[str, int]) -> List[HeatFinding]:
-    ctx = ModuleContext(path, source, tree, "simheat")
-    man = _extract_manifest(tree)
-    elidable = ELIDABLE_ATTRS | man.elidable
-    defs = _collect_defs(tree)
-    findings: List[HeatFinding] = []
-
-    def want(rule: str) -> bool:
-        return select is None or rule in select
-
-    checkers = {
-        "lockstep": _check_lockstep,
-        "inline": _check_inline,
-        "specialized": _check_specialized,
-    }
-    for pair in man.pairs:
-        fast = defs.get(pair.fast)
-        slow = defs.get(pair.slows[0])
-        if fast is None or slow is None:
-            if fast is None and want("SH601"):
-                findings.append(HeatFinding(
-                    path, 1, 0, "SH601", Severity.ERROR,
-                    f"FAST_PATH_PAIRS names {pair.fast} but no such "
-                    "definition exists in this module", pair=pair.label))
-            continue
-        if pair.mode == "closure":
-            if want("SH601"):
-                raw = _check_closure(pair, fast, slow, defs, ctx)
-                findings.extend(f for f in raw if not ctx.suppressed(
-                    f.rule_id, f.line, fast.lineno))
-        elif pair.mode in checkers:
-            if want("SH601"):
-                raw = checkers[pair.mode](pair, fast, slow, elidable, ctx)
-                findings.extend(f for f in raw if not ctx.suppressed(
-                    f.rule_id, f.line, fast.lineno))
-        # "delegated": no structural check.
-        if pair.mode in ("lockstep", "inline", "specialized") \
-                and want("SH602"):
-            raw = _check_counters(pair, fast, slow, elidable, ctx)
-            findings.extend(f for f in raw if not ctx.suppressed(
-                f.rule_id, f.line))
-
-    if want("SH603"):
-        findings.extend(_check_gates(tree, man, elidable, refs, ctx))
-    if want("SH604"):
-        findings.extend(_check_slow_calls_in_fast(tree, man, defs, ctx))
-
-    for qual, func in sorted(_hot_handlers(tree, man, elidable).items()):
-        scanner = _HotScanner(qual, func, man, elidable, select, ctx)
-        findings.extend(scanner.scan())
-    return findings
-
-
 def heat_source(source: str, path: str = "<string>",
                 select: Optional[Iterable[str]] = None) -> List[HeatFinding]:
-    """Analyze one source string (fixtures/tests).  References for the
-    SH603 never-wired check are resolved within this source only."""
+    """Analyze one source string."""
     tree = parse_module(source, path, "SH600", HeatFinding)
     if isinstance(tree, Finding):
         return [tree]
-    refs = _reference_counts([tree], [_extract_manifest(tree)])
-    return sort_findings(
-        _analyze_tree(tree, source, path, normalize_select(select), refs)
-    )
+    ctx = ModuleContext(path, source, tree, "simheat")
+    man = _extract_manifest(tree)
+    sel = normalize_select(select)
+    findings: List[HeatFinding] = []
+    for qual, func in sorted(_hot_handlers(tree, man).items()):
+        findings.extend(_HotScanner(qual, func, man, sel, ctx).scan())
+    return sort_findings(findings)
 
 
 def run_heat(paths: Sequence[str],
              select: Optional[Iterable[str]] = None) -> List[HeatFinding]:
-    """Analyze every Python file under ``paths``.  The SH603 never-wired
-    check resolves references package-wide (a fast twin defined in one
-    module and wired in another is not unreachable)."""
-    sel = normalize_select(select)
-    parsed, findings = parse_files(paths, "SH600", HeatFinding)
-    refs = _reference_counts([t for _, _, t in parsed],
-                             [_extract_manifest(t) for _, _, t in parsed])
-    for path, src, tree in parsed:
-        findings.extend(_analyze_tree(tree, src, path, sel, refs))
-    return sort_findings(findings)
+    """Analyze every Python file under ``paths``."""
+    return scan_files(paths, heat_source, select)
 
 
 # ------------------------------------------------------------ confirmer
@@ -1393,9 +611,6 @@ class HeatReport:
         self.probes = probes
         #: Per-handler ProfileRows from the tracemalloc-backed run.
         self.alloc_rows = list(alloc_rows)
-        self.any_decoupled = any(
-            design.lower() not in ("baseline", "cdxbar")
-            for _, design in self.grid)
 
     @property
     def ok(self) -> bool:
@@ -1429,16 +644,10 @@ class HeatReport:
         return max(2.0 * median, 64.0)
 
     def verdict_for(self, finding: HeatFinding) -> str:
-        if finding.rule_id in ("SH601", "SH602", "SH603", "SH604", "SH600"):
+        if finding.rule_id == "SH600":
             twin_failed = any(p.kind == "twin-diff" and not p.ok
                               for p in self.probes)
-            if twin_failed:
-                return _VERDICT_CONFIRMED
-            needs_decoupled = ("home_of" in finding.pair
-                               or "core_to_dcl1" in finding.pair)
-            if needs_decoupled and not self.any_decoupled:
-                return _VERDICT_UNOBSERVED
-            return _VERDICT_BENIGN
+            return _VERDICT_CONFIRMED if twin_failed else _VERDICT_BENIGN
         row = self._alloc_row_for(finding.handler) if finding.handler else None
         if row is None:
             return _VERDICT_UNOBSERVED

@@ -75,6 +75,7 @@ from repro.analysis.core import (
     ModuleContext,
     Rule,
     Severity,
+    in_path_scope,
     normalize_select,
     parse_files,
     parse_module,
@@ -157,15 +158,6 @@ _UNKEYABLE_ANNOTATIONS = frozenset({
 
 #: Method names that define a result's identity (SP403 scope).
 _IDENTITY_METHODS = frozenset({"fingerprint", "to_jsonable", "__eq__", "__hash__"})
-
-
-def in_sim_core(path: str) -> bool:
-    """True when ``path`` belongs to the simulator core (or is an inline
-    ``<string>`` source, so unit-test snippets are checked by default)."""
-    if path == "<string>":
-        return True
-    norm = path.replace("\\", "/")
-    return any(part in norm for part in _SIM_CORE_PARTS)
 
 
 # --------------------------------------------------------------- module facts
@@ -630,7 +622,7 @@ def _module_findings(
     wanted: Optional[Set[str]],
 ) -> List[Finding]:
     """All per-module findings (SP401/SP403/SP404/SP405) for one file."""
-    if not in_sim_core(path):
+    if not in_path_scope(path, _SIM_CORE_PARTS):
         return []
     mctx = ModuleContext(path, source, tree, "simpure")
     class_names = {

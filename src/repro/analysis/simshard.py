@@ -6,17 +6,20 @@ verifies: every payload that crosses a process or host boundary — grid
 points into :meth:`repro.experiments.base.Runner.run_many`'s process
 pool, :class:`~repro.sim.results.SimResult`\\ s coming back, cache entries
 through :mod:`repro.sim.store` — must serialize faithfully and execute
-*worker-pure*.  A lambda in a grid builder, a worker that appends to a
-module-level list, or a field added to :class:`SimConfig` without
-``cache_key_manifest()`` coverage all work fine in-process and fail (or
-worse, silently diverge) the moment the sweep is sharded across
-processes or hosts.
+*worker-pure*.  A lambda in a grid builder or a worker that appends to
+a module-level list works fine in-process and fails (or worse, silently
+diverges) the moment the sweep is sharded across processes or hosts.
 
 SimShard is the fifth leg of the analysis hexapod (SimLint → SimRace →
 SimFlow → SimPure → SimShard → SimHeat): a static AST pass over the
 sweep/experiment/store layers plus a dynamic confirmer that actually
 replays a grid under serial, fork-pool and spawn-pool execution and
-requires bit-identical fingerprints.
+requires bit-identical fingerprints.  Grid construction needs no static
+rule: ``Runner.run_many`` resolves the whole grid before it simulates
+anything, so a malformed point (wrong shape, unknown ``Runner.run``
+keyword or ``overrides`` key) raises with no simulation run.  Nor does
+payload-field coverage: ``cache_key_manifest()`` and
+``identity_manifest()`` derive from the payload dataclasses' own fields.
 
 Static rules
 ------------
@@ -36,22 +39,9 @@ Static rules
   or a worker callable that is not an importable top-level function
   (lambdas, nested defs and bound methods cannot be pickled by the
   ``spawn`` start method at all).
-* **SD504** — malformed grid construction: out-of-domain field names in
-  ``AppProfile``/``DesignSpec``/``SimConfig``/``GPUConfig`` constructor
-  calls, unknown ``Runner.run`` keyword names or ``overrides`` keys in
-  sweep-point kwargs dicts, and sweep-point tuples that are not
-  ``(app, spec[, kwargs])``.  Backed at runtime by
-  :func:`repro.sim.validation.validate_grid`, the pre-flight check
-  ``run_many`` and the CLI call before submitting anything.
 * **SD505** — result-merge order dependence: worker results combined by
   iterating ``as_completed(...)`` (completion order is a race) or an
   unordered set instead of submission order.
-* **SD506** — pool-boundary payload drift: a field added to one of the
-  payload dataclasses (``AppProfile``/``DesignSpec``/``SimConfig``/
-  ``GPUConfig``/``SimResult``) without coverage in the declared domains
-  (:func:`repro.sim.store.cache_key_manifest` /
-  :func:`repro.sim.results.identity_manifest`), so pickled grid points,
-  cache keys and ``to_jsonable`` payloads silently diverge.
 
 Suppression uses ``# simshard: disable=SD501`` (or ``ALL``) on the
 flagged line, mirroring the sibling analyzers.
@@ -78,7 +68,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.core import (
@@ -86,6 +75,7 @@ from repro.analysis.core import (
     ModuleContext,
     Rule,
     Severity,
+    in_path_scope,
     normalize_select,
     parse_module,
     scan_files,
@@ -116,12 +106,8 @@ SHARD_RULES: List[Rule] = [
          "worker-side use of a mutable module global"),
     Rule("SD503", Severity.ERROR,
          "fork-unsafe construct in worker-reachable code"),
-    Rule("SD504", Severity.ERROR,
-         "malformed sweep-grid construction"),
     Rule("SD505", Severity.ERROR,
          "worker results merged in nondeterministic order"),
-    Rule("SD506", Severity.ERROR,
-         "pool-boundary payload field drift"),
 ]
 
 #: Module globals worker-reachable code may read even though they are
@@ -180,42 +166,10 @@ _MUTABLE_CTORS = frozenset({
     "deque", "bytearray",
 })
 
-#: The payload dataclasses whose field domains SD504/SD506 check.
-_PAYLOAD_CLASS_NAMES = frozenset(
-    {"AppProfile", "DesignSpec", "SimConfig", "GPUConfig"}
-)
-
-#: Keyword names :meth:`Runner.run` accepts (the valid domain of a sweep
-#: point's kwargs dict).
-_RUN_KWARGS = frozenset(
-    {"scheduler", "l1_latency_override", "gpu", "scale", "overrides"}
-)
-
-#: Canonical defining file per payload class: the "declared field is
-#: missing from the class" direction of SD506 only anchors there, so
-#: partial scans and test fixtures never flood stale-definition noise.
-_CANONICAL_FILES = {
-    "AppProfile": "workloads/profile.py",
-    "DesignSpec": "core/designs.py",
-    "SimConfig": "sim/config.py",
-    "GPUConfig": "sim/config.py",
-    "SimResult": "sim/results.py",
-}
-
 #: RNG call prefixes that are fork-unsafe in worker-reachable code: the
 #: module RNG state is copied at fork (every worker replays the same
 #: stream) and freshly seeded under spawn (streams diverge from fork).
 _RNG_PREFIXES = ("random.", "numpy.random.")
-
-
-def in_sweep_layer(path: str) -> bool:
-    """True when ``path`` belongs to the sweep/experiment/store layers
-    (or is an inline ``<string>`` source, so unit-test snippets are
-    checked by default)."""
-    if path == "<string>":
-        return True
-    norm = path.replace("\\", "/")
-    return any(part in norm for part in _SWEEP_LAYER_PARTS)
 
 
 # --------------------------------------------------------------- module facts
@@ -434,23 +388,6 @@ def _nested_def_names(func: Optional[ast.AST]) -> Set[str]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
     return names
-
-
-@lru_cache(maxsize=1)
-def _field_domains() -> Dict[str, frozenset]:
-    """Payload class name -> valid constructor field names, from the live
-    dataclasses.  Lazy import: the analysis package never imports the sim
-    layer at module scope (same policy as SimPure's manifest checks)."""
-    import dataclasses
-
-    from repro.core.designs import DesignSpec
-    from repro.sim.config import GPUConfig, SimConfig
-    from repro.workloads.profile import AppProfile
-
-    return {
-        cls.__name__: frozenset(f.name for f in dataclasses.fields(cls))
-        for cls in (AppProfile, DesignSpec, SimConfig, GPUConfig)
-    }
 
 
 # ------------------------------------------------------------ per-rule checks
@@ -675,99 +612,6 @@ def _check_fork_safety(
             )
 
 
-def _dict_const_keys(node: ast.Dict) -> List[Tuple[ast.AST, str]]:
-    return [
-        (k, k.value)
-        for k in node.keys
-        if isinstance(k, ast.Constant) and isinstance(k.value, str)
-    ]
-
-
-def _check_overrides_dict(node: ast.Dict, emit) -> None:
-    """Validate an ``overrides={...}`` literal against SimConfig's fields."""
-    valid = _field_domains()["SimConfig"]
-    for key_node, key in _dict_const_keys(node):
-        if key not in valid:
-            emit(
-                key_node, "SD504",
-                f"overrides key '{key}' is not a SimConfig field "
-                f"(dataclasses.replace would raise mid-sweep); valid "
-                "fields come from cache_key_manifest()",
-            )
-
-
-def _check_run_kwargs_dict(node: ast.Dict, emit) -> None:
-    """Validate a sweep point's kwargs dict against Runner.run's domain."""
-    for key_node, key in _dict_const_keys(node):
-        if key not in _RUN_KWARGS:
-            emit(
-                key_node, "SD504",
-                f"sweep-point kwarg '{key}' is not a Runner.run parameter "
-                f"(valid: {', '.join(sorted(_RUN_KWARGS))})",
-            )
-    for key_node, value in zip(node.keys, node.values):
-        if (
-            isinstance(key_node, ast.Constant)
-            and key_node.value == "overrides"
-            and isinstance(value, ast.Dict)
-        ):
-            _check_overrides_dict(value, emit)
-
-
-def _check_point_tuple(elt: ast.AST, emit) -> None:
-    """Shape-check one literal sweep point: ``(app, spec[, kwargs])``."""
-    if not isinstance(elt, ast.Tuple):
-        return
-    if len(elt.elts) not in (2, 3):
-        emit(
-            elt, "SD504",
-            f"sweep point has {len(elt.elts)} element(s); expected "
-            "(app, spec) or (app, spec, kwargs)",
-        )
-        return
-    if len(elt.elts) == 3 and isinstance(elt.elts[2], ast.Dict):
-        _check_run_kwargs_dict(elt.elts[2], emit)
-
-
-def _check_grid_construction(
-    tree: ast.Module,
-    boundaries: List[_Boundary],
-    class_names: Set[str],
-    mctx: ModuleContext,
-    emit,
-) -> None:
-    """SD504: out-of-domain constructor fields, bad run kwargs, malformed
-    point tuples."""
-    domains = None
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = _terminal_name(node.func, mctx.aliases)
-        if name in _PAYLOAD_CLASS_NAMES and name not in class_names:
-            if domains is None:
-                domains = _field_domains()
-            for kw in node.keywords:
-                if kw.arg is not None and kw.arg not in domains[name]:
-                    emit(
-                        kw.value, "SD504",
-                        f"unknown {name} field '{kw.arg}' in constructor "
-                        "call: the grid point would raise TypeError only "
-                        "when the sweep reaches it",
-                    )
-        for kw in node.keywords:
-            if kw.arg == "overrides" and isinstance(kw.value, ast.Dict):
-                _check_overrides_dict(kw.value, emit)
-    for b in boundaries:
-        if b.kind != "run_many":
-            continue
-        for payload in b.payloads:
-            if isinstance(payload, (ast.List, ast.Tuple)):
-                for elt in payload.elts:
-                    _check_point_tuple(elt, emit)
-            elif isinstance(payload, (ast.ListComp, ast.GeneratorExp)):
-                _check_point_tuple(payload.elt, emit)
-
-
 def _check_merge_order(
     tree: ast.Module, boundaries: List[_Boundary], mctx: ModuleContext, emit
 ) -> None:
@@ -816,118 +660,6 @@ def _check_merge_order(
             )
 
 
-def _ast_compare_false_fields(cls: ast.ClassDef) -> Set[str]:
-    """Fields declared ``field(..., compare=False)`` in the class body."""
-    out: Set[str] = set()
-    for stmt in cls.body:
-        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
-            continue
-        value = stmt.value
-        if isinstance(value, ast.Call) and any(
-            kw.arg == "compare"
-            and isinstance(kw.value, ast.Constant)
-            and kw.value.value is False
-            for kw in value.keywords
-        ):
-            out.add(stmt.target.id)
-    return out
-
-
-def _is_classvar(annotation: ast.AST) -> bool:
-    return any(
-        (isinstance(n, ast.Name) and n.id == "ClassVar")
-        or (isinstance(n, ast.Attribute) and n.attr == "ClassVar")
-        for n in ast.walk(annotation)
-    )
-
-
-def _class_fields(cls: ast.ClassDef) -> Dict[str, int]:
-    """Dataclass field name -> definition line (ClassVars excluded)."""
-    fields: Dict[str, int] = {}
-    for stmt in cls.body:
-        if (
-            isinstance(stmt, ast.AnnAssign)
-            and isinstance(stmt.target, ast.Name)
-            and not _is_classvar(stmt.annotation)
-        ):
-            fields[stmt.target.id] = stmt.lineno
-    return fields
-
-
-def _declared_payload_domains() -> Dict[str, Tuple[Set[str], str]]:
-    """Payload class -> (declared field set, coverage description), from
-    the live manifests (lazy import, SimPure-style)."""
-    from repro.sim.results import identity_manifest
-    from repro.sim.store import cache_key_manifest
-
-    domains: Dict[str, Tuple[Set[str], str]] = {}
-    for role, entry in cache_key_manifest().items():
-        declared = set(entry["keyed"]) | set(entry["neutral"])  # type: ignore[arg-type]
-        domains[str(entry["class"])] = (
-            declared,
-            f"cache_key_manifest()['{role}'] (keyed or "
-            "FINGERPRINT_NEUTRAL_FIELDS)",
-        )
-    ident = identity_manifest()
-    domains["SimResult"] = (
-        set(ident["identity"]) | set(ident["non_identity"]),
-        "identity_manifest() (compare=True identity or declared "
-        "non-identity observability)",
-    )
-    return domains
-
-
-def _check_payload_drift(cls: ast.ClassDef, path: str, emit) -> None:
-    """SD506: diff one scanned payload-class definition against the
-    runtime-declared domain."""
-    domains = _declared_payload_domains()
-    if cls.name not in domains:
-        return
-    declared, coverage = domains[cls.name]
-    ast_fields = _class_fields(cls)
-    for name, line in sorted(ast_fields.items(), key=lambda kv: kv[1]):
-        if name not in declared:
-            emit(
-                _LinePin(line), "SD506",
-                f"field '{cls.name}.{name}' is outside the declared "
-                f"pool-boundary payload domain ({coverage}): pickled grid "
-                "points, cache keys and serialized results will drift — "
-                "key it, declare it neutral/non-identity, and extend the "
-                "serialization coverage",
-            )
-    norm = path.replace("\\", "/")
-    canonical = _CANONICAL_FILES.get(cls.name, "")
-    if canonical and norm.endswith(canonical):
-        for name in sorted(declared - set(ast_fields)):
-            emit(
-                _LinePin(cls.lineno), "SD506",
-                f"declared payload field '{cls.name}.{name}' is missing "
-                "from the class definition: the manifest is stale relative "
-                "to the scanned tree",
-                severity=Severity.WARNING,
-            )
-    if cls.name == "SimResult":
-        from repro.sim.results import identity_manifest
-
-        non_identity = set(identity_manifest()["non_identity"])
-        for name in sorted(_ast_compare_false_fields(cls) & set(ast_fields)):
-            if name not in non_identity:
-                emit(
-                    _LinePin(ast_fields[name]), "SD506",
-                    f"'{cls.name}.{name}' is compare=False but not in "
-                    "identity_manifest()['non_identity']: fingerprint/"
-                    "to_jsonable exclusion coverage is missing",
-                )
-
-
-class _LinePin:
-    """Minimal node stand-in carrying just a source position."""
-
-    def __init__(self, line: int, col: int = 0):
-        self.lineno = line
-        self.col_offset = col
-
-
 # ------------------------------------------------------------- orchestration
 
 
@@ -938,12 +670,9 @@ def _module_findings(
     wanted: Optional[Set[str]],
 ) -> List[Finding]:
     """All SimShard findings for one module."""
-    if not in_sweep_layer(path):
+    if not in_path_scope(path, _SWEEP_LAYER_PARTS):
         return []
     mctx = ModuleContext(path, source, tree, "simshard")
-    class_names = {
-        n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)
-    }
     findings: List[Finding] = []
     severities = {rid: sev for rid, sev, _ in SHARD_RULES}
 
@@ -978,17 +707,8 @@ def _module_findings(
         _check_worker_globals(reachable, mutable_globals, emit)
     if wanted is None or "SD503" in wanted:
         _check_fork_safety(reachable, boundaries, module_fns, mctx, emit)
-    if wanted is None or "SD504" in wanted:
-        _check_grid_construction(tree, boundaries, class_names, mctx, emit)
     if wanted is None or "SD505" in wanted:
         _check_merge_order(tree, boundaries, mctx, emit)
-    if wanted is None or "SD506" in wanted:
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.ClassDef)
-                and node.name in (_PAYLOAD_CLASS_NAMES | {"SimResult"})
-            ):
-                _check_payload_drift(node, path, emit)
     return findings
 
 

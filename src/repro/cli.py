@@ -19,7 +19,7 @@ The subcommands cover the library's main entry points::
     repro purity --confirm --scale 0.1         # mutate-and-replay confirmation
     repro shard src/repro                      # SimShard distribution safety
     repro shard --confirm --scale 0.1          # serial/fork/spawn replay diff
-    repro heat src/repro                       # SimHeat twin-path/hot-path scan
+    repro heat src/repro                       # SimHeat hot-path hygiene scan
     repro heat --confirm --scale 0.1           # force-fast vs force-slow replay
     repro analyze src/repro                    # the full hexapod, one table
     repro analyze --json src/repro             # machine-readable CI artifact
@@ -636,10 +636,9 @@ def build_parser() -> argparse.ArgumentParser:
         ])
     _analyzer_parser(
         sub, "heat",
-        "SimHeat: twin-path drift & hot-path performance hygiene "
-        "(static AST pass and/or force-fast vs force-slow replay "
-        "confirmation)",
-        "SH rule ID", "SimHeat rules", static="twin-path drift / hot-path",
+        "SimHeat: hot-path performance hygiene (static AST pass) "
+        "and/or twin-path force-fast vs force-slow replay confirmation",
+        "SH rule ID", "SimHeat rules", static="hot-path hygiene",
         confirm="replay a small grid with the hot path forced on and "
                 "forced off, requiring bit-identical fingerprints, "
                 "and alloc-profile the hot handlers",

@@ -23,15 +23,6 @@ from typing import Callable
 
 from repro.core.clusters import ClusterGeometry
 
-# SimHeat twin-path manifest: the factory's specialized closures must stay
-# bit-equivalent to the canonical ``home_of`` with ``range_of_line`` inlined
-# ("closure" mode — the analyzer substitutes the factory-local bindings and
-# compares each closure against the matching canonical branch).
-FAST_PATH_PAIRS = [
-    ("HomeMapper.make_fast_home_of", "HomeMapper.home_of", "closure",
-     {"inline_helpers": ["range_of_line"]}),
-]
-
 
 class HomeMapper:
     """Maps (core, line) to the DC-L1 node that may cache the line."""

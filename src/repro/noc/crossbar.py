@@ -17,13 +17,10 @@ from __future__ import annotations
 
 from repro.sim.resources import ServerGroup
 
-# SimHeat twin-path manifest: ``traverse_fast`` hand-inlines the two port
-# reservations, so the analyzer matches each inlined block against the
-# ``Server.reserve_fast`` template ("inline" mode) and requires one block
-# per ``.reserve(`` call in the slow twin.
-FAST_PATH_PAIRS = [
-    ("Crossbar.traverse_fast", "Crossbar.traverse", "inline", {}),
-]
+# SimHeat hot-function manifest: the fast traversal twin runs on every
+# NoC hop of a production run, so it is held to the hot-path hygiene rules
+# (SH611-SH615).
+SIMHEAT_HOT_FUNCTIONS = ("Crossbar.traverse_fast",)
 
 
 class Crossbar:

@@ -33,18 +33,6 @@ from repro.core.clusters import ClusterGeometry
 from repro.core.designs import DesignKind, DesignSpec
 from repro.noc.crossbar import Crossbar
 
-# SimHeat twin-path manifest: the route factory specializes per design, so
-# structural equivalence is delegated to the differential confirmer and the
-# fingerprint-identity tests ("delegated" mode); the static pass still
-# enforces SH603/SH604 (the factory must be wired in, and must never call a
-# slow route method from a fast closure).
-FAST_PATH_PAIRS = [
-    ("NoCTopology.make_fast_routes",
-     ("NoCTopology.core_to_dcl1", "NoCTopology.dcl1_to_core",
-      "NoCTopology.to_l2", "NoCTopology.from_l2"),
-     "delegated", {}),
-]
-
 
 class NoCTopology:
     """Instantiated crossbars + routing for one design point."""

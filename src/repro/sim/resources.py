@@ -21,14 +21,10 @@ halves it again.
 
 from __future__ import annotations
 
-# SimHeat twin-path manifest (see docs/analysis.md): every fast variant in
-# this module and its canonical slow twin, plus the comparison mode the
-# analyzer applies.  "lockstep" means the two bodies must match statement
-# for statement once the declared elidable instrumentation (owner/ledger
-# hooks) is removed.
-FAST_PATH_PAIRS = [
-    ("Server.reserve_fast", "Server.reserve", "lockstep", {}),
-]
+# SimHeat hot-function manifest: the fast reservation twin runs on every
+# modelled hop of a production run, so it is held to the hot-path hygiene
+# rules (SH611-SH615).
+SIMHEAT_HOT_FUNCTIONS = ("Server.reserve_fast",)
 
 
 class Server:

@@ -88,26 +88,11 @@ _STORE = int(AccessKind.STORE)
 _ATOMIC = int(AccessKind.ATOMIC)
 _BYPASS = int(AccessKind.BYPASS)
 
-# SimHeat twin-path manifest: the issue-path split is a *specialization*
-# (the fast side handles LOADs only), so the analyzer checks that every
-# handler the fast side schedules is also scheduled by the slow twin, that
-# assignments both sides make to the same request fields agree, and that
-# counter updates differ only by the declared slow-only kinds.
-FAST_PATH_PAIRS = [
-    ("GPUSystem._issue_load_fast", "GPUSystem._issue_cold", "specialized",
-     {"slow_only_counters": ["_n_stores", "_n_atomics", "_n_bypasses"]}),
-    # SimVec fused batch twins for the single-cluster shape: each closure
-    # drains one same-(time, priority) run of its scalar handler as a
-    # single call, with every per-design decision resolved at wiring time
-    # and the reservation/traversal/probe/push blocks inlined (each
-    # mirroring its canonical twin statement for statement).  The loop
-    # structure defeats statement-level matching, so equivalence is
-    # delegated to the differential confirmer (force_scalar_dispatch) and
-    # the fingerprint-identity tests; SH603/SH604 wiring checks still apply.
-    ("GPUSystem._make_spec_twins",
-     ("GPUSystem._wf_issue", "GPUSystem._l1_access", "GPUSystem._complete"),
-     "delegated", {}),
-]
+# SimHeat hot-function manifest: the LOAD issue twin and the node-entry
+# step it calls run once per access on production runs but are not
+# scheduled callbacks, so they are named here to be held to the hot-path
+# hygiene rules (SH611-SH615).
+SIMHEAT_HOT_FUNCTIONS = ("GPUSystem._issue_load_fast", "GPUSystem._enter_node")
 
 # SimHeat SH614 allowlist: self-rooted containers a pooled MemoryRequest
 # may legitimately enter — the free list itself, and the Q1 credit queue
@@ -704,7 +689,7 @@ class GPUSystem:
         req_bytes = self._request_bytes
         load = _LOAD
         # Built once per wiring, outside the closures' per-event loops.
-        ports = [c.issue_port for c in self.cores]  # simheat: disable=SH611
+        ports = [c.issue_port for c in self.cores]
         cores_list = self.cores
         pool = self._req_pool
         issue_cb = self._wf_issue

@@ -218,19 +218,10 @@ LIST_RULES = {
         "SD501  error    non-picklable value reaches a pool boundary\n"
         "SD502  error    worker-side use of a mutable module global\n"
         "SD503  error    fork-unsafe construct in worker-reachable code\n"
-        "SD504  error    malformed sweep-grid construction\n"
         "SD505  error    worker results merged in nondeterministic order\n"
-        "SD506  error    pool-boundary payload field drift\n"
     ),
     "heat": (
-        "SH600  error    module failed to parse (twin manifests "
-        "unverifiable)\n"
-        "SH601  error    fast twin diverges from its slow twin "
-        "(arithmetic/schedule drift)\n"
-        "SH602  error    counter updated on only one side of a twin pair\n"
-        "SH603  error    unreachable fast path (never wired, or gate can "
-        "never hold)\n"
-        "SH604  error    slow-twin call inside a fast-path branch\n"
+        "SH600  error    module failed to parse\n"
         "SH611  warning  per-event allocation in a hot handler "
         "(container/closure/f-string)\n"
         "SH612  warning  attribute chain re-resolved repeatedly inside an "

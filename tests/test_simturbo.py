@@ -318,6 +318,7 @@ def _three_way_hashes(app, spec, scale=0.1, **cfg_kw):
         ("T-AlexNet", "Baseline"),   # coupled: no DC-L1 level
         ("T-ResNet", "Pr40"),        # private homes
         ("C-SP", "Sh40+C10"),        # clustered: scalar dispatch only
+        ("T-AlexNet", "Sh40+C10"),   # clustered, load-heavy
     ],
 )
 def test_batched_dispatch_matches_scalar_and_slow(app_name, design):
