@@ -4,11 +4,11 @@ Four runs over the same 24-point (application x design) grid — the
 replication-sensitive set under the baseline and the final proposed
 design, the core of Figures 8/14:
 
-1. serial cold (``fleet=False``, no pool, no disk cache) — the
+1. serial cold (``jobs=1``, no pool, no disk cache) — the
    pre-``run_many`` behaviour and the correctness reference,
 2. fleet cold (fleet explicitly shut down first, fresh persistent
-   cache) — misses fan out over a freshly spun-up warm fleet whose
-   workers persist their own results and ship back only cache keys,
+   cache) — misses fan out over a freshly spun-up warm fleet, and the
+   parent writes each returned result to the cache,
 3. fleet warm (fresh Runner, *fresh* cache, same live fleet) — every
    point simulates again, but on the already-warm workers: the bench
    isolates SimFleet's reuse win and the non-sim orchestration overhead,
@@ -45,8 +45,8 @@ PARALLEL_JOBS = max(2, min(4, os.cpu_count() or 1))
 _STATE: dict = {}
 
 
-def _fresh_runner(cache, fleet=None) -> Runner:
-    return Runner(SimConfig(scale=env_scale()), cache=cache, fleet=fleet)
+def _fresh_runner(cache) -> Runner:
+    return Runner(SimConfig(scale=env_scale()), cache=cache)
 
 
 def _combined_hash(results) -> str:
@@ -77,7 +77,7 @@ def _record(results_dir, label, results, elapsed, jobs, runner, **extra) -> None
 
 
 def test_sweep_serial_cold(benchmark, results_dir):
-    runner = _fresh_runner(cache=False, fleet=False)
+    runner = _fresh_runner(cache=False)
     results, elapsed = bench_sweep(
         benchmark, runner, GRID, results_dir, "serial-cold", jobs=1
     )

@@ -644,10 +644,6 @@ class HeatReport:
         return max(2.0 * median, 64.0)
 
     def verdict_for(self, finding: HeatFinding) -> str:
-        if finding.rule_id == "SH600":
-            twin_failed = any(p.kind == "twin-diff" and not p.ok
-                              for p in self.probes)
-            return _VERDICT_CONFIRMED if twin_failed else _VERDICT_BENIGN
         row = self._alloc_row_for(finding.handler) if finding.handler else None
         if row is None:
             return _VERDICT_UNOBSERVED

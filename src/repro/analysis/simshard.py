@@ -739,9 +739,8 @@ def run_shard(
 
 
 #: Default (app, design-label) grid for ``repro shard --confirm``: four
-#: distinct points so the pool path engages even at the default
-#: ``REPRO_PAR_MIN_POINTS`` threshold, spanning camping, replication-
-#: heavy, cache-friendly and bandwidth-bound behaviour.
+#: distinct points spanning camping, replication-heavy, cache-friendly
+#: and bandwidth-bound behaviour.
 DEFAULT_CONFIRM_GRID: Tuple[Tuple[str, str], ...] = (
     ("P-2MM", "Pr40"),
     ("T-AlexNet", "Sh40+C10"),
@@ -934,7 +933,7 @@ def confirm_shard(
 
     for ctx_name in contexts:
         par = Runner(cfg, jobs=max(2, jobs), cache=False)
-        results = par.run_many(sweep, mp_context=ctx_name, par_min_points=2)
+        results = par.run_many(sweep, mp_context=ctx_name)
         diffs: List[str] = []
         for fp, res in zip(base_fps, results):
             diffs.extend(diff_fingerprints(fp, res.fingerprint()))
@@ -951,14 +950,12 @@ def confirm_shard(
             not problems, "; ".join(problems),
         ))
 
-    from repro.sim.fleet import fleet_env_enabled
-
-    if contexts and fleet_env_enabled():
+    if contexts:
         # The context-identity sweeps above already spun the fleet up;
         # a fresh Runner over the same grid must reuse it warm.
         ctx_name = contexts[0]
         warm = Runner(cfg, jobs=max(2, jobs), cache=False)
-        results = warm.run_many(sweep, mp_context=ctx_name, par_min_points=2)
+        results = warm.run_many(sweep, mp_context=ctx_name)
         problems = []
         for fp, res in zip(base_fps, results):
             problems.extend(diff_fingerprints(fp, res.fingerprint()))

@@ -10,7 +10,6 @@ The subcommands cover the library's main entry points::
     repro figures fig14 fig16
     repro figures --all --jobs 8 --cache-dir ~/.cache/repro  # parallel + persistent
     repro sweep P-2MM --scale 0.5 --jobs 4
-    repro sweep P-2MM --jobs 4 --no-fleet      # per-call pool (REPRO_FLEET=0)
     repro lint src/repro                       # SimLint static analysis
     repro race --static src/repro              # SimRace ordering-hazard scan
     repro race --confirm --app P-2MM -k 5      # SimRace shadow-shuffle replay
@@ -205,9 +204,7 @@ def _make_runner(args, scale: float):
     from repro.experiments.base import Runner
 
     cache = False if args.no_cache else (args.cache_dir or None)
-    fleet = False if getattr(args, "no_fleet", False) else None
-    return Runner(SimConfig(scale=scale), jobs=args.jobs, cache=cache,
-                  fleet=fleet)
+    return Runner(SimConfig(scale=scale), jobs=args.jobs, cache=cache)
 
 
 def _add_sweep_flags(parser) -> None:
@@ -223,10 +220,6 @@ def _add_sweep_flags(parser) -> None:
     parser.add_argument(
         "--no-cache", action="store_true",
         help="disable the persistent result cache even if REPRO_CACHE_DIR is set")
-    parser.add_argument(
-        "--no-fleet", action="store_true",
-        help="use a fresh worker pool per sweep instead of the persistent "
-             "warm fleet (equivalent to REPRO_FLEET=0)")
 
 
 def _cmd_figures(args) -> int:

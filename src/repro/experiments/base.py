@@ -11,17 +11,15 @@ with three result layers:
 
 Experiments request ``runner.run(app_name, spec, ...)`` one point at a
 time, or pre-submit a whole (application x design) grid with
-:meth:`Runner.run_many`, which fans cache misses out over a process pool
-(``jobs``/``REPRO_JOBS``) and returns results in submission order.  The
-pool is normally acquired from the persistent
-:class:`~repro.sim.fleet.WorkerFleet` (warm across calls and experiment
-modules; ``REPRO_FLEET=0`` or ``Runner(fleet=False)`` falls back to a
-per-call pool), misses are dispatched largest-estimated-work-first with
-an adaptive chunksize, and — when a disk cache is active — workers
-persist their own results and ship only slim ``(key, fingerprint,
-counters)`` payloads back.  All paths are bit-deterministic: a parallel,
-fleet-warm, slim-transported or cache-served result has the same
-:meth:`~repro.sim.results.SimResult.fingerprint` as a serial cold run.
+:meth:`Runner.run_many`, which fans cache misses out over the persistent
+:class:`~repro.sim.fleet.WorkerFleet` (``jobs``/``REPRO_JOBS`` wide, warm
+across calls and experiment modules) and returns results in submission
+order.  Misses are dispatched largest-estimated-work-first with an
+adaptive chunksize; workers send whole results back, and the parent
+memoizes and persists each one exactly as it does a serial miss.  Both
+paths are bit-deterministic: a parallel, fleet-warm or cache-served
+result has the same :meth:`~repro.sim.results.SimResult.fingerprint` as
+a serial cold run.
 
 The workload scale can be set globally via the ``REPRO_SCALE`` environment
 variable (1.0 = the calibrated benchmark scale; tests use much smaller
@@ -37,7 +35,6 @@ import dataclasses
 import multiprocessing
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -46,18 +43,15 @@ from repro.analysis.tables import format_dict_table
 from repro.core.designs import DesignSpec
 from repro.sim.config import GPUConfig, SimConfig
 from repro.sim.fleet import (
-    SLIM_TAG,
     _fleet_run,
     adaptive_chunksize,
-    chunksize_from_env,
-    fleet_env_enabled,
     get_fleet,
     order_by_estimated_work,
 )
 from repro.sim.results import SimResult
 from repro.sim.store import DiskResultCache, cache_from_env, sim_cache_key
 from repro.sim.system import simulate
-from repro.sim.validation import audit_slim_transport, validate_grid
+from repro.sim.validation import validate_grid
 from repro.workloads.profile import AppProfile
 from repro.workloads.suite import get_app
 
@@ -124,34 +118,6 @@ def env_jobs(default: int = 1) -> int:
     return max(1, jobs)
 
 
-def env_par_min_points(default: int = 4) -> int:
-    """Minimum cache-miss count before :meth:`Runner.run_many` fans out
-    over a process pool, from ``REPRO_PAR_MIN_POINTS``.
-
-    Pool startup (interpreter forks/spawns, module imports, payload
-    pickling) costs real wall clock; on small grids a serial loop wins
-    — the ROADMAP's 24-point measurement had parallel-cold *slower* than
-    serial-cold.  Below the threshold ``run_many`` runs its misses
-    serially and records that path in :attr:`Runner.sweep_paths`.
-    Malformed values warn and fall back, mirroring :func:`env_jobs`;
-    values below 1 are clamped to 1 (1 = always parallel when jobs > 1).
-    """
-    raw = os.environ.get("REPRO_PAR_MIN_POINTS")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring malformed REPRO_PAR_MIN_POINTS={raw!r} (not an "
-            f"int); using {default}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return default
-    return max(1, value)
-
-
 def _fmt_value(v: object) -> str:
     """``{:.3f}`` when the value supports it, ``str`` otherwise."""
     try:
@@ -190,7 +156,7 @@ class ExperimentReport:
 
 
 def _simulate_point(point: Tuple[AppProfile, DesignSpec, SimConfig]) -> SimResult:
-    """Process-pool worker: one pure simulation from its frozen inputs."""
+    """One pure simulation from its frozen inputs (the serial path)."""
     profile, spec, cfg = point
     return simulate(profile, spec, cfg)
 
@@ -210,10 +176,11 @@ class Runner:
         path, ``None`` to consult ``REPRO_CACHE_DIR`` (off when unset),
         or ``False`` to disable the disk layer regardless of environment.
     fleet:
-        Pool acquisition for :meth:`run_many` misses: ``None`` consults
-        ``REPRO_FLEET`` (fleet on unless set to ``0``), ``True`` forces
-        the persistent :class:`~repro.sim.fleet.WorkerFleet`, ``False``
-        forces the legacy per-call ``ProcessPoolExecutor``.
+        Accepted and ignored: the persistent
+        :class:`~repro.sim.fleet.WorkerFleet` is the only pool.  The
+        keyword stays because existing callers (the ``perfbench``
+        harness builds ``Runner(..., jobs=1, fleet=False)``) still pass
+        it.
     """
 
     def __init__(
@@ -225,7 +192,6 @@ class Runner:
     ):
         self.config = config or SimConfig(scale=env_scale())
         self.jobs = env_jobs() if jobs is None else max(1, int(jobs))
-        self.fleet = fleet
         if cache is None:
             self.disk_cache: Optional[DiskResultCache] = cache_from_env()
         elif cache is False:
@@ -244,9 +210,8 @@ class Runner:
         self.sim_wall_s = 0.0
         self.sim_events = 0
         # Which execution path each run_many miss batch took
-        # ("parallel[fleet:fork]", "serial[below-min-points]", ...) ->
-        # count.  Surfaced by throughput_summary() so the small-grid
-        # serial fallback is observable, not silent.
+        # ("parallel[fleet:fork]", "serial", ...) -> count.  Surfaced by
+        # throughput_summary() so a sweep that ran serially is visible.
         self.sweep_paths: Dict[str, int] = {}
         # Fleet reuse observed by *this* runner's run_many calls: deltas
         # of the process-wide WorkerFleet counters (cold_starts,
@@ -315,17 +280,13 @@ class Runner:
         return result
 
     def _store_miss(
-        self, point: tuple, result: SimResult, persist: bool = True,
-        key: Optional[str] = None,
+        self, point: tuple, result: SimResult, key: Optional[str] = None
     ) -> None:
         self._cache[point] = result
         self.sims_run += 1
         self.sim_wall_s += result.wall_time_s
         self.sim_events += int(round(result.wall_time_s * result.events_per_s))
-        if persist:
-            # Slim-transported results were already persisted by the
-            # worker (persist=False skips the redundant disk write).
-            self._disk_put(point, result, key)
+        self._disk_put(point, result, key)
 
     # -- public API ---------------------------------------------------------
 
@@ -386,7 +347,6 @@ class Runner:
         points: Iterable[SweepPoint],
         jobs: Optional[int] = None,
         mp_context: Union[str, multiprocessing.context.BaseContext, None] = None,
-        par_min_points: Optional[int] = None,
     ) -> List[SimResult]:
         """Run a whole sweep grid; results in submission order.
 
@@ -394,22 +354,17 @@ class Runner:
         The resolved grid is pre-flighted through
         :func:`~repro.sim.validation.validate_grid` before anything is
         submitted (duplicate points are allowed here — they collapse to
-        one simulation).  Points not served by a cache layer fan out
-        over a process pool when the effective ``jobs`` exceeds 1 *and*
-        the miss count reaches ``par_min_points`` (default
-        ``REPRO_PAR_MIN_POINTS``, 4 — pool startup dominates on smaller
-        grids, so those run serially; :attr:`sweep_paths` records which
-        path ran).  The pool is acquired from the persistent
-        :class:`~repro.sim.fleet.WorkerFleet` unless the fleet is opted
-        out (``REPRO_FLEET=0`` / ``fleet=False``), misses are dispatched
-        largest-estimated-work-first with an adaptive (or
-        ``REPRO_CHUNK``-pinned) chunksize, and with a disk cache active
-        the workers use slim result transport (see
-        :mod:`repro.sim.fleet`).  ``mp_context`` selects the pool start
-        method (``"fork"``/``"spawn"`` name or a multiprocessing
-        context; default: the platform default).  Ordering, fingerprints
-        and ``sims_run`` accounting are identical across every path,
-        because each simulation is a pure function of its frozen inputs.
+        one simulation).  When the effective ``jobs`` exceeds 1 and at
+        least two distinct points miss every cache layer, the misses fan
+        out over the persistent :class:`~repro.sim.fleet.WorkerFleet`,
+        largest-estimated-work-first with an adaptive chunksize (see
+        :mod:`repro.sim.fleet`); otherwise they run serially in-process.
+        :attr:`sweep_paths` records which path ran.  ``mp_context``
+        selects the pool start method (``"fork"``/``"spawn"`` name or a
+        multiprocessing context; default: the platform default).
+        Ordering, fingerprints, ``sims_run`` accounting and disk-cache
+        writes are identical on both paths, because each simulation is a
+        pure function of its frozen inputs.
         """
         resolved = self.resolve_points(points)
         keys = validate_grid(resolved, on_duplicate="collapse")
@@ -428,26 +383,13 @@ class Runner:
         misses = list(pending)
         if misses:
             width = self.jobs if jobs is None else max(1, int(jobs))
-            floor = (
-                env_par_min_points() if par_min_points is None
-                else max(1, int(par_min_points))
-            )
-            if width > 1 and len(misses) >= max(2, floor):
-                path, fresh = self._pool_misses(
-                    misses, width, mp_context, key_of
-                )
+            if width > 1 and len(misses) > 1:
+                path, fresh = self._pool_misses(misses, width, mp_context)
             else:
-                path = (
-                    "serial[below-min-points]"
-                    if width > 1 and len(misses) > 1
-                    else "serial"
-                )
-                fresh = [(p, _simulate_point(p), True) for p in misses]
+                path, fresh = "serial", [_simulate_point(p) for p in misses]
             self.sweep_paths[path] = self.sweep_paths.get(path, 0) + 1
-            for point, result, persist in fresh:
-                self._store_miss(
-                    point, result, persist=persist, key=key_of[point]
-                )
+            for point, result in zip(misses, fresh):
+                self._store_miss(point, result, key=key_of[point])
                 for i in pending[point]:
                     results[i] = result
         return results  # type: ignore[return-value]
@@ -459,109 +401,32 @@ class Runner:
         misses: List[tuple],
         width: int,
         mp_context: Union[str, multiprocessing.context.BaseContext, None],
-        key_of: Dict[tuple, str],
-    ) -> Tuple[str, List[Tuple[tuple, SimResult, bool]]]:
-        """Fan the misses out over a pool; returns the taken path name
-        and ``(point, result, persist)`` triples in ``misses`` order.
+    ) -> Tuple[str, List[SimResult]]:
+        """Fan the misses out over the warm fleet; returns the path name
+        and the results in ``misses`` order.
 
         Misses are dispatched largest-estimated-work-first so one heavy
         point cannot land at the end of the schedule and stretch the
-        straggler tail; the chunksize comes from ``REPRO_CHUNK`` or
-        :func:`~repro.sim.fleet.adaptive_chunksize` (the old hard-coded
-        ``chunksize=1`` paid one IPC round trip per point on both the
-        fleet and the legacy path).
+        straggler tail, in chunks sized by
+        :func:`~repro.sim.fleet.adaptive_chunksize`.
         """
-        ctx = (
-            multiprocessing.get_context(mp_context)
-            if isinstance(mp_context, str) else mp_context
-        )
+        fleet = get_fleet()
+        before = fleet.stats()
+        pool = fleet.acquire(width, mp_context=mp_context)
+        self._note_fleet(before, fleet.stats())
         ordered = order_by_estimated_work(misses)
-        chunk = chunksize_from_env()
-        if chunk is None:
-            chunk = adaptive_chunksize(len(ordered), width)
-        use_fleet = (
-            fleet_env_enabled() if self.fleet is None else bool(self.fleet)
-        )
-        if use_fleet:
-            method = (
-                ctx.get_start_method() if ctx is not None
-                else multiprocessing.get_start_method()
+        chunk = adaptive_chunksize(len(ordered), width)
+        try:
+            by_point = dict(
+                zip(ordered, pool.map(_fleet_run, ordered, chunksize=chunk))
             )
-            fleet = get_fleet()
-            before = fleet.stats()
-            pool = fleet.acquire(width, mp_context=ctx)
-            self._note_fleet(before, fleet.stats())
-            root = (
-                str(self.disk_cache.root)
-                if self.disk_cache is not None else None
-            )
-            tasks = [(p, root) for p in ordered]
-            try:
-                payloads = list(pool.map(_fleet_run, tasks, chunksize=chunk))
-            except BrokenProcessPool:
-                # A dead executor must never be handed out again; drop it
-                # so the next acquire builds a fresh pool.
-                fleet.invalidate(width, mp_context=ctx)
-                raise
-            by_point = {
-                p: self._receive_transport(p, payload, key_of)
-                for p, payload in zip(ordered, payloads)
-            }
-            path = f"parallel[fleet:{method}]"
-            return path, [(p,) + by_point[p] for p in misses]
-        # Legacy per-call pool (REPRO_FLEET=0 / Runner(fleet=False)).
-        method = (
-            ctx.get_start_method() if ctx is not None
-            else multiprocessing.get_start_method()
-        )
-        path = f"parallel[{method}]"
-        with ProcessPoolExecutor(
-            max_workers=min(width, len(ordered)), mp_context=ctx
-        ) as pool:
-            out = list(pool.map(_simulate_point, ordered, chunksize=chunk))
-        by_legacy = dict(zip(ordered, out))
-        return path, [(p, by_legacy[p], True) for p in misses]
-
-    def _receive_transport(
-        self, point: tuple, payload: object, key_of: Dict[tuple, str]
-    ) -> Tuple[SimResult, bool]:
-        """Turn one fleet-worker payload into ``(result, persist)``.
-
-        Full :class:`SimResult` payloads pass through (and still need the
-        parent-side disk write).  Slim payloads are rehydrated from the
-        disk cache and audited against the worker's fingerprint hash
-        (:func:`~repro.sim.validation.audit_slim_transport`); any audit
-        problem downgrades the point to an in-process re-simulation —
-        correctness over transport speed.
-        """
-        if not (
-            isinstance(payload, tuple)
-            and len(payload) == 5
-            and payload[0] == SLIM_TAG
-        ):
-            return payload, True  # type: ignore[return-value]
-        _tag, key, fp_sha, wall_s, events_per_s = payload
-        rehydrated = (
-            self.disk_cache.get(key) if self.disk_cache is not None else None
-        )
-        problems = audit_slim_transport(
-            key_of.get(point, ""), key, fp_sha, rehydrated
-        )
-        if problems:
-            warnings.warn(
-                "slim result transport failed its audit ("
-                + "; ".join(problems) + "); re-simulating in-process",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return _simulate_point(point), True
-        assert rehydrated is not None
-        # The disk entry drops the observability fields; carry the
-        # worker's measured wall clock over so throughput accounting is
-        # identical to full-pickle transport.
-        rehydrated.wall_time_s = wall_s
-        rehydrated.events_per_s = events_per_s
-        return rehydrated, False
+        except BrokenProcessPool:
+            # A dead executor must never be handed out again; drop it so
+            # the next acquire builds a fresh pool.
+            fleet.invalidate(width, mp_context=mp_context)
+            raise
+        path = f"parallel[fleet:{fleet.start_method(mp_context)}]"
+        return path, [by_point[p] for p in misses]
 
     def _note_fleet(
         self, before: Dict[str, float], after: Dict[str, float]

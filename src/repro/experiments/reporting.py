@@ -176,8 +176,6 @@ def build_experiments_md(results_dir) -> str:
 
 
 def main() -> int:  # pragma: no cover - thin CLI
-    import sys
-
     root = pathlib.Path(__file__).resolve().parents[3]
     results = root / "benchmarks" / "results"
     out = root / "EXPERIMENTS.md"

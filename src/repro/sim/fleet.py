@@ -1,19 +1,16 @@
-"""SimFleet: a persistent, warm, process-wide worker pool for sweeps.
+"""SimFleet: the persistent, warm, process-wide worker pool for sweeps.
 
-:meth:`repro.experiments.base.Runner.run_many` historically constructed a
-fresh ``ProcessPoolExecutor`` per call.  Every sweep then paid the full
-spin-up tax again — interpreter forks/spawns, module imports, payload
-pickling — which is how the ROADMAP's 24-point measurement ended up with
-parallel-cold *slower* than serial-cold.  This module amortizes that tax
-into reusable batch machinery:
+:meth:`repro.experiments.base.Runner.run_many` fans a grid's cache misses
+out over this fleet whenever its width is above 1.  A pool costs real
+wall clock to build — interpreter forks/spawns, module imports — so the
+fleet builds each one once per process and reuses it:
 
 * :class:`WorkerFleet` — a process-wide registry of live pools keyed by
   ``(start-method, width)``.  The first ``acquire()`` for a key pays the
   cold start (pool construction plus a warm barrier that forces every
   worker to spawn and pre-import the sim stack); every later ``acquire()``
   returns the same live pool in microseconds.  ``shutdown()`` is explicit
-  and also registered via ``atexit``, and ``REPRO_FLEET=0`` opts back out
-  to the legacy per-call pool.
+  and also registered via ``atexit``.
 * **Worker-side stream caching** — :func:`_fleet_run` materializes each
   point's NumPy access streams through a small per-worker LRU keyed by
   the *profile* component of the cache key, so a grid that visits the
@@ -21,20 +18,17 @@ into reusable batch machinery:
   generates its workload once per worker, not once per point.  Cache
   hits are bit-identical to recomputation (generation is a pure function
   of the profile and scale), so results cannot depend on hit/miss luck.
-* **Slim result transport** — when the parent runs a
-  :class:`~repro.sim.store.DiskResultCache`, workers persist their own
-  result and return only ``(tag, cache_key, fingerprint sha, wall s,
-  events/s)`` instead of pickling the full :class:`SimResult` across the
-  pipe; the parent rehydrates from disk and audits the fingerprint.
 * **Adaptive chunking and largest-first ordering** —
-  :func:`adaptive_chunksize` replaces the old hard-coded ``chunksize=1``
-  and :func:`order_by_estimated_work` fronts the heaviest points so the
+  :func:`adaptive_chunksize` sizes each ``pool.map`` chunk and
+  :func:`order_by_estimated_work` fronts the heaviest points so the
   straggler tail shrinks.
 
-Everything here is sweep *orchestration*: none of the knobs (fleet
-on/off, chunk size, stream-cache capacity) can change what a simulation
-computes, only how fast the grid drains — the identity tests pin
-``result_fingerprints()`` equality across serial, fleet and legacy paths.
+Workers return whole :class:`~repro.sim.results.SimResult` objects; the
+parent memoizes and persists them exactly as it does a serial miss.
+Everything here is sweep *orchestration*: nothing in it can change what
+a simulation computes, only how fast the grid drains — the identity
+tests pin ``result_fingerprints()`` equality across serial, fork, spawn
+and warm-reuse sweeps.
 """
 
 from __future__ import annotations
@@ -43,24 +37,18 @@ import atexit
 import multiprocessing
 import os
 import time
-import warnings
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.sim.store import DiskResultCache, profile_cache_key, sim_cache_key
+from repro.sim.results import SimResult
+from repro.sim.store import profile_cache_key
 from repro.sim.system import simulate
 from repro.workloads.generator import Workload, generate_workload
 
 __all__ = [
-    "FLEET_ENV",
-    "CHUNK_ENV",
-    "STREAM_CACHE_ENV",
-    "SLIM_TAG",
+    "STREAM_CACHE_CAP",
     "WorkerFleet",
-    "fleet_env_enabled",
-    "chunksize_from_env",
-    "stream_cache_cap_from_env",
     "adaptive_chunksize",
     "estimate_work",
     "order_by_estimated_work",
@@ -69,21 +57,9 @@ __all__ = [
     "shutdown_fleet",
 ]
 
-#: ``REPRO_FLEET=0`` opts out of the persistent fleet: ``run_many`` falls
-#: back to constructing one pool per call (the pre-fleet behaviour).
-FLEET_ENV = "REPRO_FLEET"
-
-#: ``REPRO_CHUNK=N`` pins the ``pool.map`` chunksize; unset means
-#: :func:`adaptive_chunksize` picks one from the miss count and width.
-CHUNK_ENV = "REPRO_CHUNK"
-
-#: ``REPRO_STREAM_CACHE=N`` caps the per-worker workload LRU (number of
-#: distinct (profile, scale) stream sets kept alive); ``0`` disables it.
-STREAM_CACHE_ENV = "REPRO_STREAM_CACHE"
-
-#: First element of a slim-transport payload returned by :func:`_fleet_run`
-#: in place of a full pickled :class:`SimResult`.
-SLIM_TAG = "__simfleet_slim__"
+#: Capacity of the per-worker workload LRU: the number of distinct
+#: (profile, scale) stream sets one worker keeps alive.
+STREAM_CACHE_CAP = 8
 
 #: SimShard worker-root manifest: module-level functions of *this* module
 #: that cross a pool boundary as worker callables from other modules
@@ -91,66 +67,6 @@ SLIM_TAG = "__simfleet_slim__"
 #: worker-reachability closure starts from them even though no
 #: ``pool.map`` call site is visible here.
 SIMSHARD_WORKERS: Tuple[str, ...] = ("_fleet_run",)
-
-
-# ----------------------------------------------------------- env resolvers
-
-
-def fleet_env_enabled(default: bool = True) -> bool:
-    """Resolve ``REPRO_FLEET`` once (declared input resolver, SimPure
-    SP401): the persistent fleet is on unless the variable is ``0``.
-
-    The value is pure orchestration — fleet and legacy pools run the same
-    worker logic on the same frozen points, so it is fingerprint-neutral
-    by construction (pinned by the fleet identity tests).
-    """
-    raw = os.environ.get(FLEET_ENV)
-    if raw is None or raw == "":
-        return default
-    return raw != "0"
-
-
-def chunksize_from_env(default: Optional[int] = None) -> Optional[int]:
-    """Resolve ``REPRO_CHUNK`` once: an explicit ``pool.map`` chunksize,
-    or ``None`` to let :func:`adaptive_chunksize` choose.  Malformed
-    values warn and fall back (mirroring ``env_jobs``); values below 1
-    are clamped to 1.
-    """
-    raw = os.environ.get(CHUNK_ENV)
-    if raw is None or raw == "":
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring malformed {CHUNK_ENV}={raw!r} (not an int); "
-            "using adaptive chunking",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return default
-    return max(1, value)
-
-
-def stream_cache_cap_from_env(default: int = 8) -> int:
-    """Resolve ``REPRO_STREAM_CACHE`` once: the per-worker workload-LRU
-    capacity.  ``0`` disables the cache (every point regenerates its
-    streams); malformed values warn and fall back; negatives clamp to 0.
-    """
-    raw = os.environ.get(STREAM_CACHE_ENV)
-    if raw is None or raw == "":
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring malformed {STREAM_CACHE_ENV}={raw!r} (not an int); "
-            f"using capacity {default}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return default
-    return max(0, value)
 
 
 # ------------------------------------------------------- scheduling helpers
@@ -209,15 +125,12 @@ def materialize_workload(profile, scale: float) -> Workload:
     bind time), and generation is deterministic, so a cached workload is
     indistinguishable from a fresh one.
     """
-    cap = stream_cache_cap_from_env()
-    if cap <= 0:
-        return generate_workload(profile, scale)
     key = (profile_cache_key(profile), float(scale))
     wl = _STREAM_CACHE.get(key)
     if wl is None:
         wl = generate_workload(profile, scale)
         _STREAM_CACHE[key] = wl
-        while len(_STREAM_CACHE) > cap:
+        while len(_STREAM_CACHE) > STREAM_CACHE_CAP:
             _STREAM_CACHE.popitem(last=False)
     else:
         _STREAM_CACHE.move_to_end(key)
@@ -242,33 +155,11 @@ def _fleet_warm(index: int) -> int:
     return os.getpid()
 
 
-def _fleet_run(task: Tuple) -> object:
-    """Fleet pool worker: one simulation from its frozen inputs.
-
-    ``task`` is ``(point, cache_root)`` where ``point`` is the resolved
-    (profile, spec, config) triple and ``cache_root`` is the parent's
-    :class:`DiskResultCache` root (or ``None`` when no disk cache is
-    active).  With a cache root the worker persists the result itself and
-    returns the slim ``(SLIM_TAG, key, fingerprint sha, wall s,
-    events/s)`` tuple — the parent rehydrates from disk instead of
-    unpickling a heavy :class:`SimResult`; without one it returns the
-    full result exactly like the legacy ``_simulate_point`` worker.
-    """
-    point, cache_root = task
+def _fleet_run(point: Tuple) -> SimResult:
+    """Fleet pool worker: one simulation of a resolved (profile, spec,
+    config) point, with its workload served from the stream LRU."""
     profile, spec, cfg = point
-    workload = materialize_workload(profile, cfg.scale)
-    result = simulate(workload, spec, cfg)
-    if cache_root is None:
-        return result
-    key = sim_cache_key(profile, spec, cfg)
-    DiskResultCache(cache_root).put(key, result)
-    return (
-        SLIM_TAG,
-        key,
-        result.fingerprint_sha256(),
-        result.wall_time_s,
-        result.events_per_s,
-    )
+    return simulate(materialize_workload(profile, cfg.scale), spec, cfg)
 
 
 # ------------------------------------------------------------ the fleet
@@ -294,9 +185,11 @@ class WorkerFleet:
         self.spinup_wall_s = 0.0
 
     @staticmethod
-    def _method_of(
+    def start_method(
         mp_context: Union[str, multiprocessing.context.BaseContext, None],
     ) -> str:
+        """The start-method name ``mp_context`` selects (the platform
+        default for ``None``): one half of a pool's registry key."""
         if isinstance(mp_context, str):
             return mp_context
         if mp_context is not None:
@@ -312,7 +205,7 @@ class WorkerFleet:
         method — warm when one exists, freshly constructed (and warmed
         through the barrier) otherwise."""
         width = max(1, int(width))
-        method = self._method_of(mp_context)
+        method = self.start_method(mp_context)
         key = (method, width)
         pool = self._pools.get(key)
         if pool is not None:
@@ -354,7 +247,7 @@ class WorkerFleet:
         if width is None:
             doomed = list(self._pools)
         else:
-            doomed = [(self._method_of(mp_context), max(1, int(width)))]
+            doomed = [(self.start_method(mp_context), max(1, int(width)))]
         for key in doomed:
             pool = self._pools.pop(key, None)
             if pool is not None:

@@ -224,10 +224,8 @@ class SimResult:
     def fingerprint_sha256(self) -> str:
         """SHA-256 of the canonical JSON of :meth:`fingerprint`.
 
-        A compact transport- and baseline-friendly identity: equal hashes
-        mean bit-identical fingerprints.  Used by SimFleet's slim result
-        transport (the worker ships the hash, the parent audits the
-        rehydrated result against it) and by the perf-baseline recorders.
+        A compact, baseline-friendly identity: equal hashes mean
+        bit-identical fingerprints.  Used by the perf-baseline recorders.
         """
         blob = json.dumps(
             self.fingerprint(), sort_keys=True, separators=(",", ":")

@@ -23,14 +23,6 @@ parameter sanity, cache-keyability, duplicate-after-normalization
 collisions — before :meth:`~repro.experiments.base.Runner.run_many` or
 the CLI submit anything to a process pool.  A malformed point should
 fail in milliseconds at submission, not minutes into a sharded sweep.
-
-:func:`audit_slim_transport` is the *post-flight* counterpart for
-SimFleet's slim result transport: when a pool worker persists its own
-result and returns only ``(cache_key, fingerprint sha, counters)``, the
-parent re-derives the key from the pre-flighted grid and audits the
-disk-rehydrated result against the worker's fingerprint hash before
-trusting it.  Any problem downgrades that point to an in-process
-re-simulation — correctness over speed.
 """
 
 from __future__ import annotations
@@ -287,43 +279,3 @@ def validate_grid(
     if problems:
         raise GridValidationError(problems)
     return keys
-
-
-def audit_slim_transport(
-    expected_key: str,
-    worker_key: str,
-    worker_fingerprint_sha256: str,
-    result,
-) -> List[str]:
-    """Audit one slim-transport rehydration; empty list means trustworthy.
-
-    ``expected_key`` is the parent-side :func:`~repro.sim.store.sim_cache_key`
-    (from the :func:`validate_grid` pre-flight), ``worker_key`` and
-    ``worker_fingerprint_sha256`` are what the pool worker reported, and
-    ``result`` is the parent's disk read-back for ``worker_key`` (``None``
-    on a cache miss).  Checks, accumulating all problems:
-
-    * key agreement — worker and parent derived the same key from the
-      same frozen point (anything else means the point mutated in
-      transit or the two sides disagree on canonicalization);
-    * rehydration — the worker-persisted entry was readable;
-    * bit-identity — the rehydrated result's ``fingerprint_sha256()``
-      matches what the worker computed from the in-memory original.
-    """
-    problems: List[str] = []
-    if worker_key != expected_key:
-        problems.append(
-            f"worker cache key {worker_key[:12]}… != parent key "
-            f"{expected_key[:12]}… for the same point"
-        )
-    if result is None:
-        problems.append(
-            f"no readable cache entry for worker key {worker_key[:12]}…"
-        )
-    elif result.fingerprint_sha256() != worker_fingerprint_sha256:
-        problems.append(
-            f"rehydrated result fingerprint differs from the worker's "
-            f"({result.fingerprint_sha256()[:12]}… != "
-            f"{worker_fingerprint_sha256[:12]}…)"
-        )
-    return problems

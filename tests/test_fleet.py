@@ -1,41 +1,36 @@
 """Tests for SimFleet: the persistent warm worker pool, the per-worker
-stream cache, slim cache-key result transport, and adaptive scheduling.
+stream cache, adaptive scheduling, and the parent-side handling of
+pooled results.
 
-The load-bearing property throughout is *identity*: fleet on/off, fork
-vs spawn, cold vs warm pools, slim vs full transport are pure
-orchestration choices — every path must produce bit-identical
-``result_fingerprints()``.
+The load-bearing property throughout is *identity*: fork vs spawn and
+cold vs warm pools are pure orchestration choices — every path must
+produce the same ``result_fingerprints()`` as a serial sweep.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import warnings
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+import repro.experiments.base as base_mod
 from repro.experiments.base import BASELINE, PROPOSED_DESIGNS, Runner
 from repro.sim.config import SimConfig
 from repro.sim.fleet import (
-    CHUNK_ENV,
-    FLEET_ENV,
-    SLIM_TAG,
-    STREAM_CACHE_ENV,
+    STREAM_CACHE_CAP,
     WorkerFleet,
     _STREAM_CACHE,
     adaptive_chunksize,
-    chunksize_from_env,
     estimate_work,
-    fleet_env_enabled,
     get_fleet,
     materialize_workload,
     order_by_estimated_work,
     shutdown_fleet,
-    stream_cache_cap_from_env,
 )
-from repro.sim.store import DiskResultCache, sim_cache_key
-from repro.sim.validation import audit_slim_transport
+from repro.sim.store import DiskResultCache
 from repro.workloads.generator import generate_workload
 from repro.workloads.suite import get_app
 
@@ -54,7 +49,6 @@ def fresh_runner(**kwargs) -> Runner:
 
 def sweep(runner: Runner, **kwargs):
     kwargs.setdefault("jobs", 2)
-    kwargs.setdefault("par_min_points", 2)
     return runner.run_many(GRID, **kwargs)
 
 
@@ -83,37 +77,6 @@ class TestScheduling:
         # Same profile and scale -> identical estimates; submission order
         # must break the tie.
         assert order_by_estimated_work(points) == list(points)
-
-
-# ----------------------------------------------------------- env resolvers
-
-
-class TestEnvResolvers:
-    def test_fleet_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(FLEET_ENV, raising=False)
-        assert fleet_env_enabled() is True
-        monkeypatch.setenv(FLEET_ENV, "0")
-        assert fleet_env_enabled() is False
-        monkeypatch.setenv(FLEET_ENV, "1")
-        assert fleet_env_enabled() is True
-
-    def test_chunksize_malformed_warns(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_ENV, "banana")
-        with pytest.warns(RuntimeWarning, match="malformed"):
-            assert chunksize_from_env() is None
-        monkeypatch.setenv(CHUNK_ENV, "-3")
-        assert chunksize_from_env() == 1  # clamped
-        monkeypatch.setenv(CHUNK_ENV, "5")
-        assert chunksize_from_env() == 5
-
-    def test_stream_cache_cap(self, monkeypatch):
-        monkeypatch.delenv(STREAM_CACHE_ENV, raising=False)
-        assert stream_cache_cap_from_env() == 8
-        monkeypatch.setenv(STREAM_CACHE_ENV, "0")
-        assert stream_cache_cap_from_env() == 0
-        monkeypatch.setenv(STREAM_CACHE_ENV, "oops")
-        with pytest.warns(RuntimeWarning, match="malformed"):
-            assert stream_cache_cap_from_env() == 8
 
 
 # ------------------------------------------------------- stream cache
@@ -153,20 +116,14 @@ class TestStreamCache:
         assert a is not b
         assert len(_STREAM_CACHE) == 2
 
-    def test_cap_zero_disables_caching(self, monkeypatch):
-        monkeypatch.setenv(STREAM_CACHE_ENV, "0")
+    def test_lru_eviction(self):
+        assert STREAM_CACHE_CAP == 8
         prof = get_app("C-BLK")
         a = materialize_workload(prof, SCALE)
-        b = materialize_workload(prof, SCALE)
-        assert a is not b
-        assert len(_STREAM_CACHE) == 0
-
-    def test_lru_eviction(self, monkeypatch):
-        monkeypatch.setenv(STREAM_CACHE_ENV, "1")
-        prof = get_app("C-BLK")
-        a = materialize_workload(prof, SCALE)
-        materialize_workload(get_app("T-AlexNet"), SCALE)  # evicts a
-        assert len(_STREAM_CACHE) == 1
+        # STREAM_CACHE_CAP more distinct stream sets evict the oldest.
+        for i in range(1, STREAM_CACHE_CAP + 1):
+            materialize_workload(prof, SCALE / (1 + i))
+        assert len(_STREAM_CACHE) == STREAM_CACHE_CAP
         assert materialize_workload(prof, SCALE) is not a
 
 
@@ -246,110 +203,70 @@ class TestFleetIdentity:
         assert spawned.sweep_paths.get("parallel[fleet:spawn]") == 1
         assert spawned.result_fingerprints() == serial.result_fingerprints()
 
-    def test_fleet_env_opt_out_uses_legacy_pool(self, monkeypatch):
-        monkeypatch.setenv(FLEET_ENV, "0")
-        serial = fresh_runner()
-        serial.run_many(GRID, jobs=1)
-        legacy = fresh_runner()
-        sweep(legacy)
-        assert legacy.sweep_paths.get("parallel[fork]") == 1
-        assert not legacy.fleet_stats
-        assert legacy.result_fingerprints() == serial.result_fingerprints()
-
-    def test_fleet_false_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(FLEET_ENV, "1")
+    def test_fleet_keyword_is_ignored(self):
+        # Runner(fleet=False) is still accepted; the fleet is the only pool.
         runner = fresh_runner(fleet=False)
         sweep(runner)
-        assert runner.sweep_paths.get("parallel[fork]") == 1
+        assert runner.sweep_paths == {
+            f"parallel[fleet:{multiprocessing.get_start_method()}]": 1
+        }
 
-    def test_explicit_chunksize_is_identity_neutral(self, monkeypatch):
+
+# ------------------------------------------------ pooled results, parent side
+
+
+class TestPooledResults:
+    def test_parent_persists_pooled_misses(self, tmp_path):
         serial = fresh_runner()
         serial.run_many(GRID, jobs=1)
-        monkeypatch.setenv(CHUNK_ENV, "3")
-        chunked = fresh_runner()
-        sweep(chunked)
-        assert chunked.result_fingerprints() == serial.result_fingerprints()
 
+        puts = []
 
-# ------------------------------------------------------- slim transport
+        class CountingCache(DiskResultCache):
+            def put(self, key, result):
+                puts.append(key)
+                super().put(key, result)
 
-
-class TestSlimTransport:
-    def test_slim_equals_full_pickle_transport(self, tmp_path):
-        serial = fresh_runner()
-        serial.run_many(GRID, jobs=1)
-        reference = serial.result_fingerprints()
-
-        # No disk cache: workers pickle full SimResults back.
-        full = fresh_runner()
-        sweep(full)
-        assert full.result_fingerprints() == reference
-
-        # Disk cache: workers persist, only cache keys cross the pipe.
-        slim = fresh_runner(cache=str(tmp_path / "cache"))
-        sweep(slim)
-        assert slim.result_fingerprints() == reference
-        assert slim.sims_run == len(GRID)
-
-    def test_workers_persist_results_themselves(self, tmp_path):
-        cache = DiskResultCache(tmp_path / "cache")
+        cache = CountingCache(tmp_path / "cache")
         runner = fresh_runner(cache=cache)
-        sweep(runner)
-        assert len(cache) == len(GRID)
-        for point in runner.resolve_points(GRID):
-            assert cache.get(sim_cache_key(*point)) is not None
-
-    def test_slim_results_carry_observability(self, tmp_path):
-        runner = fresh_runner(cache=str(tmp_path / "cache"))
         results = sweep(runner)
-        # wall_time_s/events_per_s are excluded from the disk payload, so
-        # only the slim tuple can deliver them; _store_miss accounting
-        # must still see real values.
+        assert any(k.startswith("parallel") for k in runner.sweep_paths)
+        # The parent writes every pooled miss itself, exactly as it
+        # does a serial one.
+        assert len(puts) == len(GRID)
+        assert len(cache) == len(GRID)
+        assert runner.result_fingerprints() == serial.result_fingerprints()
         assert all(r.wall_time_s > 0 for r in results)
         assert all(r.events_per_s > 0 for r in results)
         assert runner.sim_wall_s > 0
         assert runner.sim_events > 0
 
-    def test_rehydration_failure_falls_back_to_resimulation(self, tmp_path):
-        serial = fresh_runner()
-        serial.run_many(GRID, jobs=1)
 
-        class VanishingCache(DiskResultCache):
-            def get(self, key):  # parent-side read-back always misses
-                self.misses += 1
-                return None
-
-        runner = fresh_runner(cache=VanishingCache(tmp_path / "cache"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            sweep(runner)
-        assert runner.result_fingerprints() == serial.result_fingerprints()
+def _die(point):
+    """Fleet worker stand-in that kills its process mid-sweep."""
+    os._exit(1)
 
 
-class TestAuditSlimTransport:
-    def test_clean(self):
-        res = fresh_runner().run("C-BLK", BASELINE)
-        sha = res.fingerprint_sha256()
-        assert audit_slim_transport("k1", "k1", sha, res) == []
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fork start method unavailable",
+)
+def test_worker_death_drops_the_pool_and_the_next_sweep_recovers(
+    monkeypatch,
+):
+    serial = fresh_runner()
+    serial.run_many(GRID, jobs=1)
 
-    def test_key_mismatch(self):
-        res = fresh_runner().run("C-BLK", BASELINE)
-        problems = audit_slim_transport(
-            "expected", "other", res.fingerprint_sha256(), res
-        )
-        assert any("key" in p for p in problems)
+    shutdown_fleet()
+    monkeypatch.setattr(base_mod, "_fleet_run", _die)
+    doomed = fresh_runner()
+    with pytest.raises(BrokenProcessPool):
+        sweep(doomed, mp_context="fork")
+    assert get_fleet().stats()["live_pools"] == 0
+    assert doomed.sims_run == 0
 
-    def test_missing_rehydration(self):
-        problems = audit_slim_transport("k1", "k1", "deadbeef", None)
-        assert any("no readable cache entry" in p for p in problems)
-
-    def test_fingerprint_mismatch(self):
-        res = fresh_runner().run("C-BLK", BASELINE)
-        problems = audit_slim_transport("k1", "k1", "0" * 64, res)
-        assert any("fingerprint differs" in p for p in problems)
-
-
-# SLIM_TAG is a stable wire-format constant: changing it silently breaks
-# mixed-version parent/worker combinations, so pin it.
-def test_slim_tag_is_stable():
-    assert SLIM_TAG == "__simfleet_slim__"
+    monkeypatch.undo()
+    recovered = fresh_runner()
+    sweep(recovered, mp_context="fork")
+    assert recovered.fleet_stats.get("cold_starts") == 1
+    assert recovered.result_fingerprints() == serial.result_fingerprints()

@@ -6,8 +6,6 @@ import shutil
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.analysis.core import Severity, rule_table
 from repro.analysis.simheat import (
     DEFAULT_CONFIRM_GRID,
@@ -267,14 +265,14 @@ def test_report_grades_findings_by_probe_evidence():
     report_bad = HeatReport(
         [("P-2MM", "Sh40")], 0.1,
         [HeatProbe("twin-diff", "P-2MM/Sh40", False, "diverged")])
-    assert report_bad.verdict_for(unparsable) == "CONFIRMED"
+    assert report_bad.verdict_for(unparsable) == "UNOBSERVED"
     assert not report_bad.ok
     assert "UNSOUND" in report_bad.render([unparsable])
 
     report_ok = HeatReport(
         [("P-2MM", "Sh40")], 0.1,
         [HeatProbe("twin-diff", "P-2MM/Sh40", True)])
-    assert report_ok.verdict_for(unparsable) == "BENIGN"
+    assert report_ok.verdict_for(unparsable) == "UNOBSERVED"
 
     hot = HeatFinding("x.py", 1, 0, "SH611", Severity.WARNING, "alloc",
                       handler="System._complete")

@@ -5,8 +5,6 @@ import json
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.analysis.core import Severity, rule_table
 from repro.analysis.simpure import (
     DECLARED_ENV_INPUTS,
@@ -495,7 +493,6 @@ def test_rule_table_covers_sp401_to_sp405():
 def test_declared_env_inputs_document_their_rationale():
     assert set(DECLARED_ENV_INPUTS) == {
         "REPRO_WATCHDOG", "REPRO_SANITIZE", "REPRO_CACHE_DIR",
-        "REPRO_FLEET", "REPRO_CHUNK", "REPRO_STREAM_CACHE",
     }
     assert all(len(why) > 10 for why in DECLARED_ENV_INPUTS.values())
 

@@ -5,16 +5,10 @@ runner-level cache accounting."""
 from __future__ import annotations
 
 import multiprocessing
-import warnings
 
 import pytest
 
-from repro.experiments.base import (
-    BASELINE,
-    PROPOSED_DESIGNS,
-    Runner,
-    env_par_min_points,
-)
+from repro.experiments.base import BASELINE, PROPOSED_DESIGNS, Runner
 from repro.experiments.registry import run_experiment
 from repro.sim.config import SimConfig
 
@@ -86,11 +80,13 @@ class TestRunMany:
         serial = fresh_runner()
         parallel = fresh_runner()
         r_serial = serial.run_many(self.GRID, jobs=1)
-        # par_min_points=2 forces the pool even on this 3-point grid
-        # (the default threshold would fall back to serial).
-        r_parallel = parallel.run_many(self.GRID, jobs=2, par_min_points=2)
+        # Any grid with two or more misses takes the pool when jobs > 1,
+        # and the taken path is recorded for observability.
+        r_parallel = parallel.run_many(self.GRID, jobs=2)
         assert parallel.sims_run == serial.sims_run == 3
-        assert any(k.startswith("parallel") for k in parallel.sweep_paths)
+        [(path, count)] = parallel.sweep_paths.items()
+        assert path.startswith("parallel[fleet:") and count == 1
+        assert f"{path} x1" in parallel.throughput_summary()
         assert [a.fingerprint() for a in r_serial] == \
                [b.fingerprint() for b in r_parallel]
 
@@ -102,51 +98,15 @@ class TestRunMany:
         serial = fresh_runner()
         spawned = fresh_runner()
         r_serial = serial.run_many(self.GRID, jobs=1)
-        r_spawn = spawned.run_many(
-            self.GRID, jobs=2, mp_context="spawn", par_min_points=2)
+        r_spawn = spawned.run_many(self.GRID, jobs=2, mp_context="spawn")
         assert spawned.sweep_paths.get("parallel[fleet:spawn]") == 1
         assert [a.fingerprint() for a in r_serial] == \
                [b.fingerprint() for b in r_spawn]
-
-    def test_small_grid_falls_back_to_serial(self):
-        # Below the min-points threshold the pool is skipped entirely,
-        # and the taken path is recorded for observability.
-        runner = fresh_runner()
-        results = runner.run_many(self.GRID, jobs=2, par_min_points=10)
-        assert runner.sims_run == 3
-        assert runner.sweep_paths == {"serial[below-min-points]": 1}
-        assert [r.app for r in results] == ["C-BLK", "C-BLK", "T-AlexNet"]
-        assert "serial[below-min-points] x1" in runner.throughput_summary()
 
     def test_single_miss_path_is_plain_serial(self):
         runner = fresh_runner()
         runner.run_many([("C-BLK", BASELINE)], jobs=4)
         assert runner.sweep_paths == {"serial": 1}
-
-
-class TestParMinPointsEnv:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PAR_MIN_POINTS", raising=False)
-        assert env_par_min_points() == 4
-
-    def test_env_override_and_clamp(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PAR_MIN_POINTS", "7")
-        assert env_par_min_points() == 7
-        monkeypatch.setenv("REPRO_PAR_MIN_POINTS", "-3")
-        assert env_par_min_points() == 1
-
-    def test_malformed_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PAR_MIN_POINTS", "four")
-        with pytest.warns(RuntimeWarning, match="REPRO_PAR_MIN_POINTS"):
-            assert env_par_min_points() == 4
-
-    def test_env_threshold_drives_run_many(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PAR_MIN_POINTS", "100")
-        runner = fresh_runner()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no RuntimeWarning expected
-            runner.run_many(TestRunMany.GRID, jobs=2)
-        assert runner.sweep_paths == {"serial[below-min-points]": 1}
 
 
 class TestDiskCacheIntegration:

@@ -10,10 +10,8 @@ import dataclasses
 import pytest
 
 from repro.core.designs import DesignSpec
-from repro.gpu.request import AccessKind
 from repro.sim.config import SimConfig
 from repro.sim.system import GPUSystem, simulate
-from repro.workloads.generator import generate_workload
 from repro.workloads.profile import AppProfile
 
 DESIGNS = [
