@@ -30,7 +30,7 @@ from repro.sim.fleet import (
     order_by_estimated_work,
     shutdown_fleet,
 )
-from repro.sim.store import DiskResultCache
+from repro.sim.store import DiskResultCache, sim_cache_key
 from repro.workloads.generator import generate_workload
 from repro.workloads.suite import get_app
 
@@ -79,6 +79,37 @@ class TestScheduling:
         assert order_by_estimated_work(points) == list(points)
 
 
+# ----------------------------------------------------------- env resolvers
+
+
+class TestEnvResolvers:
+    """Nothing in the environment selects or tunes the pool any more;
+    these pin that the retired variables stay unread."""
+
+    def test_fleet_enabled_by_default(self, monkeypatch):
+        # REPRO_FLEET=0 used to opt out of the fleet; it is ignored now.
+        monkeypatch.setenv("REPRO_FLEET", "0")
+        runner = fresh_runner()
+        sweep(runner)
+        assert runner.sweep_paths == {
+            f"parallel[fleet:{multiprocessing.get_start_method()}]": 1
+        }
+
+    def test_stream_cache_cap(self, monkeypatch):
+        # The LRU capacity is a constant; REPRO_STREAM_CACHE=0 used to
+        # switch caching off and is ignored now.
+        assert STREAM_CACHE_CAP == 8
+        monkeypatch.setenv("REPRO_STREAM_CACHE", "0")
+        _STREAM_CACHE.clear()
+        try:
+            prof = get_app("C-BLK")
+            a = materialize_workload(prof, SCALE)
+            assert materialize_workload(prof, SCALE) is a
+            assert len(_STREAM_CACHE) == 1
+        finally:
+            _STREAM_CACHE.clear()
+
+
 # ------------------------------------------------------- stream cache
 
 
@@ -117,7 +148,6 @@ class TestStreamCache:
         assert len(_STREAM_CACHE) == 2
 
     def test_lru_eviction(self):
-        assert STREAM_CACHE_CAP == 8
         prof = get_app("C-BLK")
         a = materialize_workload(prof, SCALE)
         # STREAM_CACHE_CAP more distinct stream sets evict the oldest.
@@ -211,15 +241,36 @@ class TestFleetIdentity:
             f"parallel[fleet:{multiprocessing.get_start_method()}]": 1
         }
 
+    def test_explicit_chunksize_is_identity_neutral(self, monkeypatch):
+        serial = fresh_runner()
+        serial.run_many(GRID, jobs=1)
+        # A chunk size adaptive_chunksize would not pick for this grid.
+        monkeypatch.setattr(base_mod, "adaptive_chunksize", lambda n, w: 3)
+        chunked = fresh_runner()
+        sweep(chunked)
+        assert chunked.result_fingerprints() == serial.result_fingerprints()
+
 
 # ------------------------------------------------ pooled results, parent side
 
 
 class TestPooledResults:
-    def test_parent_persists_pooled_misses(self, tmp_path):
+    def test_pooled_with_and_without_disk_cache_match_serial(self, tmp_path):
         serial = fresh_runner()
         serial.run_many(GRID, jobs=1)
+        reference = serial.result_fingerprints()
 
+        bare = fresh_runner()
+        sweep(bare)
+        assert bare.result_fingerprints() == reference
+
+        cached = fresh_runner(cache=str(tmp_path / "cache"))
+        sweep(cached)
+        assert any(k.startswith("parallel") for k in cached.sweep_paths)
+        assert cached.result_fingerprints() == reference
+        assert cached.sims_run == len(GRID)
+
+    def test_parent_persists_pooled_misses(self, tmp_path):
         puts = []
 
         class CountingCache(DiskResultCache):
@@ -229,13 +280,20 @@ class TestPooledResults:
 
         cache = CountingCache(tmp_path / "cache")
         runner = fresh_runner(cache=cache)
-        results = sweep(runner)
+        sweep(runner)
         assert any(k.startswith("parallel") for k in runner.sweep_paths)
         # The parent writes every pooled miss itself, exactly as it
         # does a serial one.
         assert len(puts) == len(GRID)
         assert len(cache) == len(GRID)
-        assert runner.result_fingerprints() == serial.result_fingerprints()
+        for point in runner.resolve_points(GRID):
+            assert cache.get(sim_cache_key(*point)) is not None
+
+    def test_pooled_results_carry_observability(self, tmp_path):
+        runner = fresh_runner(cache=str(tmp_path / "cache"))
+        results = sweep(runner)
+        # wall_time_s/events_per_s are excluded from the disk payload;
+        # whole pooled results still carry them to the runner totals.
         assert all(r.wall_time_s > 0 for r in results)
         assert all(r.events_per_s > 0 for r in results)
         assert runner.sim_wall_s > 0

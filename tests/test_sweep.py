@@ -103,6 +103,22 @@ class TestRunMany:
         assert [a.fingerprint() for a in r_serial] == \
                [b.fingerprint() for b in r_spawn]
 
+    def test_small_grid_falls_back_to_serial(self):
+        # A grid that leaves fewer than two distinct misses skips the
+        # pool even at jobs > 1: cached points never reach it and
+        # duplicate points collapse to one simulation.
+        runner = fresh_runner()
+        runner.run("C-BLK", BOOST)
+        runner.run("T-AlexNet", BASELINE)
+        results = runner.run_many(
+            self.GRID + [("C-BLK", BASELINE)], jobs=2)
+        assert runner.sims_run == 3
+        assert runner.sweep_paths == {"serial": 1}
+        assert [r.app for r in results] == \
+               ["C-BLK", "C-BLK", "T-AlexNet", "C-BLK"]
+        assert results[0] is results[3]
+        assert "serial x1" in runner.throughput_summary()
+
     def test_single_miss_path_is_plain_serial(self):
         runner = fresh_runner()
         runner.run_many([("C-BLK", BASELINE)], jobs=4)
