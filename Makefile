@@ -92,8 +92,15 @@ profile:
 # Engine throughput smoke: fingerprint-gated; timing recorded in
 # benchmarks/results/engine.txt and machine-readably in
 # benchmarks/results/engine.json (the CI perf-regression baseline —
-# commit the refreshed json to re-baseline).
+# commit the refreshed json to re-baseline).  First the perfbench
+# self-test and a short grid-warm replay through the disk cache, checked
+# against perfbench/reference.json (run.py exits 0 even when points
+# fail, so the last line's "correct" flag is the verdict).
 perf-smoke:
+	$(PYTHON) perfbench/selftest.py
+	$(PYTHON) perfbench/run.py --workload grid-warm --seed 0 --seconds 1 --trace 0 \
+		| tail -n 1 \
+		| $(PYTHON) -c "import json, sys; r = json.loads(sys.stdin.read()); print('grid-warm:', r['failed'], 'of', r['attempted'], 'points failed'); sys.exit(0 if r['correct'] else 1)"
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_engine.py -q
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_sweep.py -q
 

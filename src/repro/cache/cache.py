@@ -110,20 +110,6 @@ class CacheStats:
         self.write_evicts += other.write_evicts
         self.replicated_misses += other.replicated_misses
 
-    def to_dict(self) -> dict:
-        """All counters as a plain dict (persistent result cache)."""
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CacheStats":
-        """Rebuild from :meth:`to_dict` output; unknown keys are an error."""
-        stats = cls()
-        for key, value in data.items():
-            if key not in cls.__slots__:
-                raise ValueError(f"unknown CacheStats counter {key!r}")
-            setattr(stats, key, value)
-        return stats
-
 
 class SetAssociativeCache:
     """A set-associative cache over line indices.

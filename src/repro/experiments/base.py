@@ -3,11 +3,19 @@
 :class:`Runner` is a memoizing front-end to :func:`repro.sim.system.simulate`
 with three result layers:
 
-1. an in-process dict keyed by the frozen (profile, spec, config) triple,
+1. an in-process dict keyed by :func:`repro.sim.store.sim_cache_key`,
 2. an optional persistent on-disk cache
    (:class:`repro.sim.store.DiskResultCache`), shared across processes and
-   sessions, content-addressed by :func:`repro.sim.store.sim_cache_key`,
+   sessions, under the same key,
 3. the simulator itself.
+
+Both layers share one identity, so a point's key is derived once — by
+the :func:`~repro.sim.validation.validate_grid` pre-flight in
+:meth:`Runner.run_many`, or once per :meth:`Runner.run` call.  Points
+that differ only in fingerprint-neutral fields (``SimConfig.watchdog``,
+``AppProfile.suite``, ...) share one memo entry, as they share one disk
+entry; equal objects that key apart (``SimConfig(scale=1)`` and
+``SimConfig(scale=1.0)``) get two, as on disk.
 
 Experiments request ``runner.run(app_name, spec, ...)`` one point at a
 time, or pre-submit a whole (application x design) grid with
@@ -200,7 +208,7 @@ class Runner:
             self.disk_cache = cache
         else:
             self.disk_cache = DiskResultCache(cache)
-        self._cache: Dict[tuple, SimResult] = {}
+        self._cache: Dict[str, SimResult] = {}
         self.sims_run = 0
         # Aggregate simulator observability (fresh runs only — cache hits
         # cost no simulator time): total wall seconds spent inside
@@ -248,45 +256,23 @@ class Runner:
         return profile, cfg
 
     # -- the three result layers -------------------------------------------
-    #
-    # ``key`` is the point's sim_cache_key when the caller already holds
-    # it (run_many's pre-flight); otherwise it is derived here, and only
-    # when a disk layer needs it.
 
-    def _disk_get(
-        self, point: tuple, key: Optional[str] = None
-    ) -> Optional[SimResult]:
-        if self.disk_cache is None:
-            return None
-        return self.disk_cache.get(sim_cache_key(*point) if key is None else key)
-
-    def _disk_put(
-        self, point: tuple, result: SimResult, key: Optional[str] = None
-    ) -> None:
-        if self.disk_cache is not None:
-            self.disk_cache.put(
-                sim_cache_key(*point) if key is None else key, result
-            )
-
-    def _lookup(
-        self, point: tuple, key: Optional[str] = None
-    ) -> Optional[SimResult]:
+    def _lookup(self, key: str) -> Optional[SimResult]:
         """Memory layer, then disk layer (promoting disk hits to memory)."""
-        result = self._cache.get(point)
-        if result is None:
-            result = self._disk_get(point, key)
+        result = self._cache.get(key)
+        if result is None and self.disk_cache is not None:
+            result = self.disk_cache.get(key)
             if result is not None:
-                self._cache[point] = result
+                self._cache[key] = result
         return result
 
-    def _store_miss(
-        self, point: tuple, result: SimResult, key: Optional[str] = None
-    ) -> None:
-        self._cache[point] = result
+    def _store_miss(self, key: str, result: SimResult) -> None:
+        self._cache[key] = result
         self.sims_run += 1
         self.sim_wall_s += result.wall_time_s
         self.sim_events += int(round(result.wall_time_s * result.events_per_s))
-        self._disk_put(point, result, key)
+        if self.disk_cache is not None:
+            self.disk_cache.put(key, result)
 
     # -- public API ---------------------------------------------------------
 
@@ -309,11 +295,11 @@ class Runner:
             app, scheduler=scheduler, l1_latency_override=l1_latency_override,
             gpu=gpu, scale=scale, overrides=overrides,
         )
-        point = (profile, spec, cfg)
-        result = self._lookup(point)
+        key = sim_cache_key(profile, spec, cfg)
+        result = self._lookup(key)
         if result is None:
-            result = _simulate_point(point)
-            self._store_miss(point, result)
+            result = _simulate_point((profile, spec, cfg))
+            self._store_miss(key, result)
         return result
 
     def resolve_points(
@@ -370,27 +356,30 @@ class Runner:
         keys = validate_grid(resolved, on_duplicate="collapse")
 
         results: List[Optional[SimResult]] = [None] * len(resolved)
-        pending: Dict[tuple, List[int]] = {}
-        key_of: Dict[tuple, str] = {}
-        for i, (point, key) in enumerate(zip(resolved, keys)):
-            key_of.setdefault(point, key)
-            hit = self._lookup(point, key)
+        # key -> indices of the points that missed every cache layer.
+        pending: Dict[str, List[int]] = {}
+        for i, key in enumerate(keys):
+            slots = pending.get(key)
+            if slots is not None:
+                slots.append(i)
+                continue
+            hit = self._lookup(key)
             if hit is not None:
                 results[i] = hit
             else:
-                pending.setdefault(point, []).append(i)
+                pending[key] = [i]
 
-        misses = list(pending)
-        if misses:
+        if pending:
+            misses = [resolved[slots[0]] for slots in pending.values()]
             width = self.jobs if jobs is None else max(1, int(jobs))
             if width > 1 and len(misses) > 1:
                 path, fresh = self._pool_misses(misses, width, mp_context)
             else:
                 path, fresh = "serial", [_simulate_point(p) for p in misses]
             self.sweep_paths[path] = self.sweep_paths.get(path, 0) + 1
-            for point, result in zip(misses, fresh):
-                self._store_miss(point, result, key=key_of[point])
-                for i in pending[point]:
+            for (key, slots), result in zip(pending.items(), fresh):
+                self._store_miss(key, result)
+                for i in slots:
                     results[i] = result
         return results  # type: ignore[return-value]
 
@@ -473,10 +462,7 @@ class Runner:
         """Bit-exact identity of every memoized result, keyed by the
         content-addressed cache key (comparing two runners that covered
         the same grid — e.g. serial vs parallel — is a dict equality)."""
-        return {
-            sim_cache_key(*point): result.fingerprint()
-            for point, result in self._cache.items()
-        }
+        return {key: result.fingerprint() for key, result in self._cache.items()}
 
     def clear(self) -> None:
         """Drop the in-memory layer (the disk cache is left untouched)."""

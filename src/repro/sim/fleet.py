@@ -165,6 +165,14 @@ def _fleet_run(point: Tuple) -> SimResult:
 # ------------------------------------------------------------ the fleet
 
 
+def _pool_is_live(pool: ProcessPoolExecutor) -> bool:
+    """False once the executor has marked itself broken or any of its
+    worker processes has exited."""
+    if pool._broken:
+        return False
+    return all(proc.is_alive() for proc in pool._processes.values())
+
+
 class WorkerFleet:
     """Process-wide registry of live, warm process pools.
 
@@ -203,14 +211,22 @@ class WorkerFleet:
     ) -> ProcessPoolExecutor:
         """A live pool of ``width`` workers under ``mp_context``'s start
         method — warm when one exists, freshly constructed (and warmed
-        through the barrier) otherwise."""
+        through the barrier) otherwise.
+
+        A warm pool that lost a worker while it sat idle (the executor
+        marked itself broken, or a worker process is no longer alive)
+        is dropped and replaced by a cold start: handing it out would
+        fail the next sweep with ``BrokenProcessPool``."""
         width = max(1, int(width))
         method = self.start_method(mp_context)
         key = (method, width)
         pool = self._pools.get(key)
         if pool is not None:
-            self.warm_acquires += 1
-            return pool
+            if _pool_is_live(pool):
+                self.warm_acquires += 1
+                return pool
+            del self._pools[key]
+            pool.shutdown(wait=False)
         ctx = multiprocessing.get_context(method)
         # Spin-up is host observability (recorded in fleet stats and the
         # sweep baseline), never simulated behaviour.

@@ -145,31 +145,47 @@ class SimResult:
             return 1.0 if self.l1_miss_rate == 0 else float("inf")
         return self.l1_miss_rate / baseline.l1_miss_rate
 
-    def to_jsonable(self) -> Dict[str, object]:
+    def to_jsonable(self) -> List[object]:
         """Full lossless serialization (the persistent result cache).
 
-        Unlike :meth:`as_dict` (a flat human-facing summary), this
-        round-trips *every* field: loading the output back through
-        :meth:`from_jsonable` yields a result whose :meth:`fingerprint`
-        is bit-identical to the original's.
+        One positional record: the identity fields in dataclass order
+        (``identity_manifest()["identity"]``), each :class:`CacheStats`
+        as its counters in ``__slots__`` order and each ``noc_traffic``
+        entry as a 3-element list.  The observability fields are left
+        out.  Unlike :meth:`as_dict` (a flat human-facing summary), this
+        round-trips *every* identity field: loading the output back
+        through :meth:`from_jsonable` yields a result whose
+        :meth:`fingerprint` is bit-identical to the original's.
+        :data:`RECORD_LAYOUT` digests the field and slot names, so a
+        reader can tell a record written under another layout.
         """
-        data = asdict(self)
-        data["l1"] = self.l1.to_dict()
-        data["l2"] = self.l2.to_dict()
-        data["noc_traffic"] = [list(t) for t in self.noc_traffic]
-        for name in _OBSERVABILITY_FIELDS:
-            data.pop(name, None)
-        return data
+        record = [getattr(self, name) for name in _RECORD_FIELDS]
+        record[_L1] = _stats_record(self.l1)
+        record[_L2] = _stats_record(self.l2)
+        record[_NOC] = [list(t) for t in self.noc_traffic]
+        return record
 
     @classmethod
-    def from_jsonable(cls, data: dict) -> "SimResult":
-        """Inverse of :meth:`to_jsonable`; unknown/missing fields raise
-        (the persistent cache treats that as a miss, not a crash)."""
-        fields = dict(data)
-        fields["l1"] = CacheStats.from_dict(fields["l1"])
-        fields["l2"] = CacheStats.from_dict(fields["l2"])
-        fields["noc_traffic"] = [tuple(t) for t in fields["noc_traffic"]]
-        return cls(**fields)
+    def from_jsonable(cls, record: List[object]) -> "SimResult":
+        """Inverse of :meth:`to_jsonable`.
+
+        Raises unless the shape is exact: a list of one value per
+        identity field, with every :class:`CacheStats` a list of all its
+        counters and every ``noc_traffic`` entry a triple.  A missing or
+        extra value is never filled in with a default (the persistent
+        cache treats it as a miss, not a crash).
+        """
+        if type(record) is not list or len(record) != len(_RECORD_FIELDS):
+            raise ValueError(
+                f"a SimResult record is a list of {len(_RECORD_FIELDS)} values"
+            )
+        values = record[:]
+        values[_L1] = _stats_from_record(record[_L1])
+        values[_L2] = _stats_from_record(record[_L2])
+        values[_NOC] = [(hops, mm, freq) for hops, mm, freq in record[_NOC]]
+        # Positional: every identity field precedes the observability
+        # fields in the class (tests/test_store.py pins the order).
+        return cls(*values)
 
     def as_dict(self) -> Dict[str, float]:
         """Flat summary for tabulation/serialization."""
@@ -238,3 +254,39 @@ class SimResult:
             f"l1_miss={self.l1_miss_rate:.1%} repl={self.replication_ratio:.1%} "
             f"cycles={self.cycles:.0f}"
         )
+
+
+# -- the positional record of to_jsonable()/from_jsonable() ------------------
+
+#: The record's fields, in order.
+_RECORD_FIELDS = identity_manifest()["identity"]
+_L1 = _RECORD_FIELDS.index("l1")
+_L2 = _RECORD_FIELDS.index("l2")
+_NOC = _RECORD_FIELDS.index("noc_traffic")
+_STATS_SLOTS = CacheStats.__slots__
+
+#: Short digest of the record layout: the identity field names in order
+#: and the :class:`CacheStats` slot names.  The result cache stores it
+#: beside each record, so an entry written before a field was added,
+#: renamed or reordered reads as a miss instead of misdecoding.
+RECORD_LAYOUT = hashlib.sha256(
+    json.dumps([_RECORD_FIELDS, _STATS_SLOTS]).encode("utf-8")
+).hexdigest()[:16]
+
+
+def _stats_record(stats: CacheStats) -> List[int]:
+    """One :class:`CacheStats` as its counters in ``__slots__`` order."""
+    return [getattr(stats, slot) for slot in _STATS_SLOTS]
+
+
+def _stats_from_record(counters: object) -> CacheStats:
+    """Inverse of :func:`_stats_record`; raises unless every counter is
+    there."""
+    if type(counters) is not list or len(counters) != len(_STATS_SLOTS):
+        raise ValueError(
+            f"a CacheStats record is a list of {len(_STATS_SLOTS)} counters"
+        )
+    stats = CacheStats()
+    for slot, value in zip(_STATS_SLOTS, counters):
+        setattr(stats, slot, value)
+    return stats

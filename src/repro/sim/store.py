@@ -59,13 +59,25 @@ trees can simply be deleted).  Bump it whenever the simulator's observable
 behaviour changes (new :class:`~repro.sim.results.SimResult` fields,
 model fixes, config-field semantics).
 
+Each document is one list, ``[schema, layout, key, record]``: the schema
+version, :data:`~repro.sim.results.RECORD_LAYOUT` (a short digest of the
+record's field names and the ``CacheStats`` slot names), the entry's own
+key, and the positional record of
+:meth:`~repro.sim.results.SimResult.to_jsonable`.  A record carries no
+field names, so the layout digest is what keeps a renamed, added or
+reordered field from misdecoding an old entry: any header mismatch is a
+miss.  ``put`` encodes the document once and writes the bytes; ``get``
+reads them with raw file-descriptor I/O and makes one ``json.loads``
+call.
+
 Robustness
 ----------
 Writes are atomic (temp file + ``os.replace``) so concurrent processes
 never observe a half-written entry.  Reads treat *any* failure —
-missing, truncated, corrupted, wrong-shape, schema-mismatched or
-stale-field files — as a cache miss, never an error; the entry is
-re-simulated and overwritten.
+missing, truncated, corrupted or wrong-shape files, a schema, layout or
+key mismatch, or a record with a missing or extra value — as a cache
+miss, never an error; the entry is re-simulated and overwritten.  That
+includes entries in the older dict-shaped format at the same path.
 """
 
 from __future__ import annotations
@@ -82,7 +94,7 @@ from typing import Dict, Optional, Tuple, Union
 
 from repro.core.designs import DesignSpec
 from repro.sim.config import GPUConfig, SimConfig
-from repro.sim.results import SimResult
+from repro.sim.results import RECORD_LAYOUT, SimResult
 from repro.workloads.profile import AppProfile
 
 #: Version of the (key, payload) schema.  Part of every key and of the
@@ -96,6 +108,12 @@ CACHE_SCHEMA_VERSION = 2
 #: empty) means the persistent cache is off unless a directory is passed
 #: explicitly.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: Bytes per ``os.read`` call in :meth:`DiskResultCache.get`.  A paper
+#: grid's entries are at most a few KiB, so one call reads one whole; a
+#: much larger request (say 1 MiB) makes every call allocate a buffer of
+#: that size, which costs more than the read.
+_READ_CHUNK = 64 * 1024
 
 
 def _neutral_fields(obj: object) -> frozenset:
@@ -246,15 +264,29 @@ class DiskResultCache:
     def get(self, key: str) -> Optional[SimResult]:
         """Load a cached result, or ``None`` (corrupt entries are misses)."""
         try:
-            with open(self._entry_path(key), "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            if doc.get("schema") != CACHE_SCHEMA_VERSION or doc.get("key") != key:
-                raise ValueError("cache entry schema/key mismatch")
-            result = SimResult.from_jsonable(doc["result"])
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            fd = os.open(self._entry_path(key), os.O_RDONLY)
+            try:
+                chunks = []
+                while True:
+                    chunk = os.read(fd, _READ_CHUNK)
+                    if not chunk:
+                        break
+                    chunks.append(chunk)
+            finally:
+                os.close(fd)
+            schema, layout, stored_key, record = json.loads(b"".join(chunks))
+            if (
+                schema != CACHE_SCHEMA_VERSION
+                or layout != RECORD_LAYOUT
+                or stored_key != key
+            ):
+                raise ValueError("cache entry schema/layout/key mismatch")
+            result = SimResult.from_jsonable(record)
+        except (OSError, ValueError, TypeError):
             # Missing, truncated, corrupted, written by an incompatible
-            # schema, or valid JSON of the wrong shape (a list or number
-            # where an object belongs): behave exactly like a cold miss.
+            # schema or record layout, or valid JSON of the wrong shape
+            # (an object or number where the entry list belongs): behave
+            # exactly like a cold miss.
             self.misses += 1
             return None
         self.hits += 1
@@ -262,19 +294,19 @@ class DiskResultCache:
 
     def put(self, key: str, result: SimResult) -> None:
         """Atomically persist one result under ``key``."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        doc = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "key": key,
-            "result": result.to_jsonable(),
-        }
+        path = self._entry_path(key)
+        directory = os.path.dirname(path)
+        os.makedirs(directory, exist_ok=True)
+        data = json.dumps(
+            [CACHE_SCHEMA_VERSION, RECORD_LAYOUT, key, result.to_jsonable()],
+            separators=(",", ":"),
+        ).encode("utf-8")
         fd, tmp = tempfile.mkstemp(
-            prefix=f".{key[:8]}-", suffix=".tmp", dir=str(path.parent)
+            prefix=f".{key[:8]}-", suffix=".tmp", dir=directory
         )
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, separators=(",", ":"))
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
             os.replace(tmp, path)
         except BaseException:
             try:

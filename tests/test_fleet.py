@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -328,3 +329,28 @@ def test_worker_death_drops_the_pool_and_the_next_sweep_recovers(
     sweep(recovered, mp_context="fork")
     assert recovered.fleet_stats.get("cold_starts") == 1
     assert recovered.result_fingerprints() == serial.result_fingerprints()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fork start method unavailable",
+)
+def test_idle_worker_death_cold_starts_a_fresh_pool():
+    serial = fresh_runner()
+    serial.run_many(GRID, jobs=1)
+
+    shutdown_fleet()
+    fleet = get_fleet()
+    pool = fleet.acquire(2, mp_context="fork")
+    victim = next(iter(pool._processes.values()))
+    os.kill(victim.pid, signal.SIGKILL)
+    victim.join(timeout=30)
+    assert not victim.is_alive()
+
+    # The warm pool lost a worker between sweeps; the next sweep must
+    # not be handed it.
+    survivor = fresh_runner()
+    sweep(survivor, mp_context="fork")
+    assert fleet.cold_starts == 2
+    assert survivor.fleet_stats.get("cold_starts") == 1
+    assert survivor.result_fingerprints() == serial.result_fingerprints()

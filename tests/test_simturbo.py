@@ -108,11 +108,14 @@ def test_observability_fields_are_populated_but_not_identity():
     assert res.events_per_s > 0.0
     flat = res.fingerprint()
     assert "wall_time_s" not in flat and "events_per_s" not in flat
+    from repro.sim.results import SimResult, identity_manifest
+
+    # The cache record holds one value per identity field, none for the
+    # wall clock.
     data = res.to_jsonable()
-    assert "wall_time_s" not in data and "events_per_s" not in data
+    assert len(data) == len(identity_manifest()["identity"])
     # A cache round-trip (which drops the observability fields) preserves
     # the result's identity: same fingerprint, zeroed wall clock.
-    from repro.sim.results import SimResult
 
     clone = SimResult.from_jsonable(data)
     assert clone.fingerprint() == flat

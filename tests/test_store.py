@@ -15,7 +15,8 @@ import pytest
 import repro.sim.store as store
 from repro.core.designs import DesignSpec
 from repro.sim.config import GPUConfig, SimConfig
-from repro.sim.results import SimResult
+from repro.cache.cache import CacheStats
+from repro.sim.results import RECORD_LAYOUT, SimResult, identity_manifest
 from repro.sim.store import (
     CACHE_SCHEMA_VERSION,
     DiskResultCache,
@@ -257,10 +258,23 @@ class TestSerializationRoundtrip:
         assert back.fingerprint() == res.fingerprint()
 
     def test_unknown_field_raises(self):
+        # A record has no field names: an unknown field is a value the
+        # layout has no slot for.
         data = SimResult().to_jsonable()
-        data["not_a_field"] = 1
-        with pytest.raises(TypeError):
+        data.append(1)
+        with pytest.raises(ValueError):
             SimResult.from_jsonable(data)
+
+    def test_record_is_positional(self):
+        record = SimResult(app="a", design="d", cycles=7.0).to_jsonable()
+        assert len(record) == len(identity_manifest()["identity"])
+        assert record[:3] == ["a", "d", 7.0]
+
+    def test_identity_fields_precede_observability(self):
+        # from_jsonable builds a result positionally from the record.
+        manifest = identity_manifest()
+        names = tuple(f.name for f in dataclasses.fields(SimResult))
+        assert names == manifest["identity"] + manifest["non_identity"]
 
 
 class TestDiskResultCache:
@@ -297,25 +311,25 @@ class TestDiskResultCache:
         path.write_text(path.read_text()[: 40])
         assert cache.get(key) is None
 
-    # Raw file text, or changes to an otherwise valid entry's result.
+    # Raw file text, or (field, value) replacing one field of an
+    # otherwise valid entry's record.
     @pytest.mark.parametrize("body", [
         pytest.param("not json at all \x00\x01", id="not-json"),
         pytest.param("[]", id="list"),
         pytest.param('"x"', id="string"),
         pytest.param("3", id="number"),
         pytest.param("null", id="null"),
-        pytest.param({"l1": 3}, id="l1-not-object"),
-        pytest.param({"l2": []}, id="l2-not-object"),
+        pytest.param(("l1", 3), id="l1-not-object"),
+        pytest.param(("l2", []), id="l2-not-object"),
     ])
     def test_garbage_entry_is_a_miss(self, tmp_path, body):
         cache = DiskResultCache(tmp_path)
         key = sim_cache_key(PROFILE, SPEC, CFG)
-        if isinstance(body, dict):
-            result = SimResult().to_jsonable()
-            result.update(body)
-            body = json.dumps(
-                {"schema": CACHE_SCHEMA_VERSION, "key": key, "result": result}
-            )
+        if isinstance(body, tuple):
+            name, value = body
+            record = SimResult().to_jsonable()
+            record[identity_manifest()["identity"].index(name)] = value
+            body = json.dumps([CACHE_SCHEMA_VERSION, RECORD_LAYOUT, key, record])
         path = cache.path_for(key)
         path.parent.mkdir(parents=True)
         path.write_text(body)
@@ -328,7 +342,7 @@ class TestDiskResultCache:
         cache.put(key, self.make_result(tiny_config))
         path = cache.path_for(key)
         doc = json.loads(path.read_text())
-        doc["schema"] = CACHE_SCHEMA_VERSION + 1
+        doc[0] = CACHE_SCHEMA_VERSION + 1
         path.write_text(json.dumps(doc))
         assert cache.get(key) is None
 
@@ -340,9 +354,61 @@ class TestDiskResultCache:
         cache.put(key, self.make_result(tiny_config))
         path = cache.path_for(key)
         doc = json.loads(path.read_text())
-        doc["result"]["field_from_the_future"] = 1
+        doc[3].append(1)  # a value for a field from the future
         path.write_text(json.dumps(doc))
         assert cache.get(key) is None
+
+    # Each edit damages the record (or the header) of a valid entry.
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda doc: doc[3].pop(), id="missing-last-field"),
+        pytest.param(
+            lambda doc: doc[3][identity_manifest()["identity"].index("l1")].pop(),
+            id="short-cachestats"),
+        pytest.param(lambda doc: doc[3].append(0), id="extra-trailing-value"),
+        pytest.param(lambda doc: doc.__setitem__(1, "0" * len(RECORD_LAYOUT)),
+                     id="wrong-layout"),
+    ])
+    def test_malformed_record_is_a_miss(self, tmp_path, tiny_config, damage):
+        cache = DiskResultCache(tmp_path)
+        key = sim_cache_key(PROFILE, SPEC, CFG)
+        cache.put(key, self.make_result(tiny_config))
+        path = cache.path_for(key)
+        doc = json.loads(path.read_text())
+        damage(doc)
+        path.write_text(json.dumps(doc))
+        assert cache.get(key) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        if doc[1] == RECORD_LAYOUT:
+            # Never decoded with a default standing in for a value.
+            with pytest.raises(ValueError):
+                SimResult.from_jsonable(doc[3])
+        else:
+            # The record is intact: the layout header alone made the miss.
+            SimResult.from_jsonable(doc[3])
+
+    def test_dict_format_entry_is_a_miss_and_put_replaces_it(
+        self, tmp_path, tiny_config
+    ):
+        # The dict-shaped document older versions wrote at the same path.
+        cache = DiskResultCache(tmp_path)
+        key = sim_cache_key(PROFILE, SPEC, CFG)
+        res = self.make_result(tiny_config)
+        record = res.to_jsonable()
+        result = dict(zip(identity_manifest()["identity"], record))
+        for name in ("l1", "l2"):
+            result[name] = dict(zip(CacheStats.__slots__, result[name]))
+        path = cache.path_for(key)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(
+            {"schema": CACHE_SCHEMA_VERSION, "key": key, "result": result}
+        ))
+        assert cache.get(key) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        cache.put(key, res)
+        loaded = cache.get(key)
+        assert loaded is not None
+        assert loaded.fingerprint() == res.fingerprint()
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_clear(self, tmp_path, tiny_config):
         cache = DiskResultCache(tmp_path)
