@@ -3,7 +3,7 @@
 PYTHON ?= python
 SCALE ?= 1.0
 
-.PHONY: install test bench bench-quick figures characterize clean loc lint sanitize-test race flow purity shard heat analyze profile perf-smoke
+.PHONY: install test bench bench-quick figures characterize clean loc lint sanitize-test race flow purity heat analyze profile perf-smoke
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -53,13 +53,6 @@ purity:
 	PYTHONPATH=src $(PYTHON) -m repro.cli purity --strict src/repro
 	PYTHONPATH=src $(PYTHON) -m repro.cli purity --confirm --scale 0.1
 
-# SimShard: static distribution-safety pass over the sweep layer, then a
-# serial/fork/spawn replay that confirms grid points pickle faithfully
-# and pooled sweeps stay bit-identical to serial.
-shard:
-	PYTHONPATH=src $(PYTHON) -m repro.cli shard --strict src/repro
-	PYTHONPATH=src $(PYTHON) -m repro.cli shard --confirm --scale 0.1
-
 # SimHeat: static twin-path drift & hot-path hygiene pass, then a
 # force-fast vs force-slow differential replay (bit-identical
 # fingerprints required) with a tracemalloc allocation profile of the
@@ -68,15 +61,13 @@ heat:
 	PYTHONPATH=src $(PYTHON) -m repro.cli heat --strict src/repro
 	PYTHONPATH=src $(PYTHON) -m repro.cli heat --confirm --scale 0.1
 
-# The full static-analysis hexapod (SimLint + SimRace + SimFlow +
-# SimPure + SimShard + SimHeat) with a unified summary table and
-# combined exit code, then the cheap dynamic confirmations (SimPure
-# mutate-and-replay, SimShard serial/fork/spawn replay, SimHeat
+# All five static analyzers (SimLint + SimRace + SimFlow + SimPure +
+# SimHeat) with a unified summary table and combined exit code, then the
+# cheap dynamic confirmations (SimPure mutate-and-replay, SimHeat
 # force-fast/force-slow differential replay).
 analyze:
 	PYTHONPATH=src $(PYTHON) -m repro.cli analyze src/repro
 	PYTHONPATH=src $(PYTHON) -m repro.cli purity --confirm --scale 0.1
-	PYTHONPATH=src $(PYTHON) -m repro.cli shard --confirm --scale 0.1
 	PYTHONPATH=src $(PYTHON) -m repro.cli heat --confirm --scale 0.1 --no-alloc
 
 # Run the simulator-facing test suites with the SimSanitizer ledger on.

@@ -1,7 +1,7 @@
-"""The plumbing shared by the six static analyzers.
+"""The plumbing shared by the five static analyzers.
 
-SimLint, SimRace, SimFlow, SimPure, SimShard and SimHeat differ in their
-rules and (for four of them) a dynamic confirmer.  Everything else lives
+SimLint, SimRace, SimFlow, SimPure and SimHeat differ in their rules and
+(for three of them) a dynamic confirmer.  Everything else lives
 here: :class:`Severity`, the :class:`Rule` and :class:`Finding` records,
 the per-module :class:`ModuleContext` (import aliases, parent links and
 the ``# sim<tool>: disable=RULE`` suppression comments), rule selection,
@@ -9,7 +9,7 @@ the path-scope test, the ``--list-rules`` table, parsing with a
 syntax-error finding, the file walk and the one order findings are
 reported in.
 
-``repro lint|race|flow|purity|shard|heat`` and ``repro analyze`` drive
+``repro lint|race|flow|purity|heat`` and ``repro analyze`` drive
 the analyzers from one registry in :mod:`repro.cli`; ``docs/analysis.md``
 ("Shared core") shows how a rule set plugs in.  Nothing on the simulator
 import path imports this module.

@@ -31,13 +31,8 @@ SP401    error    sim-core read of an input that bypasses the cache key
                   runtime class-attribute assignment)
 SP402    warning  keyed field never read anywhere in the scanned tree
                   (over-keying: avoidable distributed-cache misses)
-SP403    error    non-identity field (``compare=False``) flowing into
-                  ``fingerprint``/``to_jsonable``/``__eq__``/``__hash__``
 SP404    error    sim-core mutation of a profile/spec/config/gpu input
                   object (cache poisoning, run-order dependence)
-SP405    error    keyed/serialized field lacking JSON roundtrip coverage
-                  (one-sided ``to_jsonable``/``from_jsonable``, asymmetric
-                  per-field transforms, un-canonicalizable annotations)
 =======  =======  ==========================================================
 
 The *sim core* is the set of modules that execute between a config triple
@@ -103,12 +98,8 @@ PURITY_RULES: List[Rule] = [
          "sim-core read of an input that bypasses the cache key"),
     Rule("SP402", Severity.WARNING,
          "keyed field is never read by the simulator (over-keying)"),
-    Rule("SP403", Severity.ERROR,
-         "non-identity field flows into result identity"),
     Rule("SP404", Severity.ERROR,
          "simulation mutates a keyed input object"),
-    Rule("SP405", Severity.ERROR,
-         "keyed/serialized field lacks JSON roundtrip coverage"),
 ]
 
 #: Environment variables the sim layer is *allowed* to read — each must be
@@ -135,24 +126,6 @@ _SIM_CORE_PARTS = (
 #: A write *into* one of these (``self.cfg.scale = ...``, ``cfg.gpu = ...``)
 #: or a mutating method call on one is SP404.
 _INPUT_ROOTS = frozenset({"cfg", "config", "spec", "profile", "gpu"})
-
-#: The dataclasses whose fields form the cache-key domain (matches
-#: ``repro.sim.store.cache_key_manifest``), checked by SP405's
-#: annotation rule without importing the sim layer.
-_KEYED_CLASS_NAMES = frozenset(
-    {"AppProfile", "DesignSpec", "SimConfig", "GPUConfig"}
-)
-
-#: Annotation identifiers that cannot canonicalize into a stable JSON
-#: cache key (unordered containers, opaque callables/objects, raw bytes).
-_UNKEYABLE_ANNOTATIONS = frozenset({
-    "Set", "FrozenSet", "set", "frozenset", "MutableSet",
-    "Callable", "Any", "bytes", "bytearray", "complex", "ndarray", "object",
-})
-
-#: Method names that define a result's identity (SP403 scope).
-_IDENTITY_METHODS = frozenset({"fingerprint", "to_jsonable", "__eq__", "__hash__"})
-
 
 # --------------------------------------------------------------- module facts
 
@@ -187,35 +160,6 @@ def _module_str_constants(tree: ast.Module) -> Dict[str, str]:
             and isinstance(stmt.value.value, str)
         ):
             out[stmt.targets[0].id] = stmt.value.value
-    return out
-
-
-def _module_str_tuples(tree: ast.Module) -> Dict[str, Tuple[str, ...]]:
-    """Module-level ``NAME = ("a", "b")`` bindings (exclusion lists like
-    ``_OBSERVABILITY_FIELDS``)."""
-    out: Dict[str, Tuple[str, ...]] = {}
-    for stmt in tree.body:
-        if (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and isinstance(stmt.value, (ast.Tuple, ast.List))
-            and all(
-                isinstance(e, ast.Constant) and isinstance(e.value, str)
-                for e in stmt.value.elts
-            )
-        ):
-            out[stmt.targets[0].id] = tuple(e.value for e in stmt.value.elts)
-    # One aliasing round: ``NON_IDENTITY_FIELDS = _OBSERVABILITY_FIELDS``.
-    for stmt in tree.body:
-        if (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and isinstance(stmt.value, ast.Name)
-            and stmt.value.id in out
-        ):
-            out[stmt.targets[0].id] = out[stmt.value.id]
     return out
 
 
@@ -366,110 +310,6 @@ def _emit_env_read(node: ast.AST, var: str, mctx: ModuleContext, emit) -> None:
         )
 
 
-def _check_identity_leaks(mctx: ModuleContext, emit) -> None:
-    """SP403: ``compare=False`` fields must not flow into identity
-    methods (``fingerprint``/``to_jsonable``/``__eq__``/``__hash__``)."""
-    str_tuples = _module_str_tuples(mctx.tree)
-    for cls in ast.walk(mctx.tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        non_identity = _non_identity_fields(cls)
-        if not non_identity:
-            continue
-        for meth in cls.body:
-            if (
-                isinstance(meth, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and meth.name in _IDENTITY_METHODS
-            ):
-                _check_identity_method(meth, non_identity, str_tuples, mctx, emit)
-
-
-def _non_identity_fields(cls: ast.ClassDef) -> Set[str]:
-    """Fields declared ``field(..., compare=False)`` in a class body."""
-    out: Set[str] = set()
-    for stmt in cls.body:
-        if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
-            continue
-        value = stmt.value
-        if isinstance(value, ast.Call):
-            callee = value.func
-            name = callee.attr if isinstance(callee, ast.Attribute) else (
-                callee.id if isinstance(callee, ast.Name) else ""
-            )
-            if name == "field" and any(
-                kw.arg == "compare"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is False
-                for kw in value.keywords
-            ):
-                out.add(stmt.target.id)
-    return out
-
-
-def _check_identity_method(
-    meth: ast.AST,
-    non_identity: Set[str],
-    str_tuples: Dict[str, Tuple[str, ...]],
-    mctx: ModuleContext,
-    emit,
-) -> None:
-    # Which non-identity fields does the method provably strip?  Either a
-    # literal ``data.pop("wall_time_s", ...)`` or a loop over a module
-    # constant: ``for name in _OBSERVABILITY_FIELDS: data.pop(name)``.
-    excluded: Set[str] = set()
-    for node in ast.walk(meth):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("pop", "__delitem__")
-            and node.args
-        ):
-            arg = node.args[0]
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                excluded.add(arg.value)
-        if isinstance(node, ast.For) and isinstance(node.iter, ast.Name):
-            names = str_tuples.get(node.iter.id)
-            if names and any(
-                isinstance(n, ast.Call)
-                and isinstance(n.func, ast.Attribute)
-                and n.func.attr in ("pop", "__delitem__")
-                for n in ast.walk(node)
-            ):
-                excluded.update(names)
-    for node in ast.walk(meth):
-        # Direct read of a non-identity field inside an identity method.
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)
-            and node.attr in non_identity
-            and isinstance(node.value, ast.Name)
-            and node.value.id in ("self", "other")
-        ):
-            emit(
-                node, "SP403",
-                f"non-identity field {node.attr!r} (compare=False) is read "
-                f"inside {meth.name}(): observability must not flow into "
-                "a result's identity",
-            )
-        # Blanket asdict(self) without stripping every non-identity field.
-        if (
-            isinstance(node, ast.Call)
-            and (
-                mctx.resolve_call(node.func) in ("dataclasses.asdict",)
-                or (isinstance(node.func, ast.Name) and node.func.id == "asdict")
-            )
-        ):
-            leaked = sorted(non_identity - excluded)
-            if leaked:
-                emit(
-                    node, "SP403",
-                    f"asdict() in {meth.name}() includes non-identity "
-                    f"field(s) {', '.join(leaked)}: pop them (directly or "
-                    "via a module-level exclusion tuple) before they enter "
-                    "the identity",
-                )
-
-
 def _check_input_mutations(mctx: ModuleContext, emit) -> None:
     """SP404: writes into (or mutating calls on) profile/spec/config/gpu
     objects anywhere in the sim core."""
@@ -531,81 +371,6 @@ def _check_input_mutations(mctx: ModuleContext, emit) -> None:
                             )
 
 
-def _subscript_store_keys(meth: ast.AST) -> Set[str]:
-    """String keys written via ``x["key"] = ...`` in a method body."""
-    keys: Set[str] = set()
-    for node in ast.walk(meth):
-        if isinstance(node, (ast.Assign, ast.AugAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if (
-                    isinstance(target, ast.Subscript)
-                    and isinstance(target.slice, ast.Constant)
-                    and isinstance(target.slice.value, str)
-                ):
-                    keys.add(target.slice.value)
-    return keys
-
-
-def _check_roundtrip(mctx: ModuleContext, emit) -> None:
-    """SP405: serialization symmetry and keyability of field types."""
-    for cls in ast.walk(mctx.tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        methods = {
-            m.name: m
-            for m in cls.body
-            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        to_j, from_j = methods.get("to_jsonable"), methods.get("from_jsonable")
-        if (to_j is None) != (from_j is None):
-            have, miss = (
-                ("to_jsonable", "from_jsonable") if to_j else
-                ("from_jsonable", "to_jsonable")
-            )
-            emit(
-                cls, "SP405",
-                f"class {cls.name} defines {have}() but not {miss}(): "
-                "one-way serialization cannot prove cache entries replay "
-                "bit-exact (schema drift vs CACHE_SCHEMA_VERSION)",
-            )
-        elif to_j is not None and from_j is not None:
-            out_keys = _subscript_store_keys(to_j)
-            in_keys = _subscript_store_keys(from_j)
-            for key in sorted(out_keys ^ in_keys):
-                side = "to_jsonable" if key in out_keys else "from_jsonable"
-                other = "from_jsonable" if key in out_keys else "to_jsonable"
-                emit(
-                    methods[side], "SP405",
-                    f"field {key!r} is transformed in {side}() but not in "
-                    f"{other}(): asymmetric serialization breaks the "
-                    "roundtrip fingerprint guarantee",
-                )
-        if cls.name in _KEYED_CLASS_NAMES:
-            for stmt in cls.body:
-                if (
-                    isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)
-                    and not _is_classvar(stmt.annotation)
-                ):
-                    bad = sorted({
-                        n.id if isinstance(n, ast.Name) else n.attr
-                        for n in ast.walk(stmt.annotation)
-                        if isinstance(n, (ast.Name, ast.Attribute))
-                        and (
-                            n.id if isinstance(n, ast.Name) else n.attr
-                        ) in _UNKEYABLE_ANNOTATIONS
-                    })
-                    if bad:
-                        emit(
-                            stmt, "SP405",
-                            f"keyed field {cls.name}.{stmt.target.id} is "
-                            f"annotated with un-keyable type(s) "
-                            f"{', '.join(bad)}: the canonical JSON cache "
-                            "key cannot represent it stably",
-                        )
-
-
 # ----------------------------------------------------------- whole-tree pass
 
 
@@ -615,7 +380,7 @@ def _module_findings(
     source: str,
     wanted: Optional[Set[str]],
 ) -> List[Finding]:
-    """All per-module findings (SP401/SP403/SP404/SP405) for one file."""
+    """All per-module findings (SP401/SP404) for one file."""
     if not in_path_scope(path, _SIM_CORE_PARTS):
         return []
     mctx = ModuleContext(path, source, tree, "simpure")
@@ -639,9 +404,7 @@ def _module_findings(
         )
 
     _check_undeclared_inputs(mctx, class_names, emit)
-    _check_identity_leaks(mctx, emit)
     _check_input_mutations(mctx, emit)
-    _check_roundtrip(mctx, emit)
     return findings
 
 
@@ -694,39 +457,41 @@ def run_purity(
     parsed, findings = parse_files(paths, "SP001")
     reads: Set[str] = set()
     saw_system = False
-    # Class name -> (path, module context, {field: line}) for the keyed
-    # dataclass definitions encountered during the scan.
-    defs: Dict[str, Tuple[str, ModuleContext, Dict[str, int]]] = {}
-
     for path, source, tree in parsed:
         findings.extend(_module_findings(tree, path, source, wanted))
         reads |= _collect_reads(tree)
-        norm = path.replace("\\", "/")
-        if norm.endswith("sim/system.py"):
+        if path.replace("\\", "/").endswith("sim/system.py"):
             saw_system = True
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and node.name in _KEYED_CLASS_NAMES:
-                defs[node.name] = (
-                    path, ModuleContext(path, source, tree, "simpure"),
-                    _class_fields(node),
-                )
 
     if saw_system and (wanted is None or "SP402" in wanted):
-        findings.extend(_overkeying_findings(reads, defs))
+        findings.extend(_overkeying_findings(reads, parsed))
     return sort_findings(findings)
 
 
 def _overkeying_findings(
     reads: Set[str],
-    defs: Dict[str, Tuple[str, ModuleContext, Dict[str, int]]],
+    parsed: Sequence[Tuple[str, str, ast.Module]],
 ) -> List[Finding]:
-    """SP402: keyed manifest fields with no read anywhere in the scan."""
+    """SP402: keyed manifest fields with no read anywhere in the scan,
+    anchored at the scanned definition of their class."""
     # Lazy import: the analysis package never imports the sim layer at
     # module scope (same policy as confirm_races).
     from repro.sim.store import cache_key_manifest
 
+    manifest = cache_key_manifest()
+    keyed_classes = {str(entry["class"]) for entry in manifest.values()}
+    # Class name -> (path, module context, {field: line}).
+    defs: Dict[str, Tuple[str, ModuleContext, Dict[str, int]]] = {}
+    for path, source, tree in parsed:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in keyed_classes:
+                defs[node.name] = (
+                    path, ModuleContext(path, source, tree, "simpure"),
+                    _class_fields(node),
+                )
+
     findings: List[Finding] = []
-    for role, entry in sorted(cache_key_manifest().items()):
+    for role, entry in sorted(manifest.items()):
         cls_name = str(entry["class"])
         if cls_name not in defs:
             continue  # defining file not in this scan: cannot anchor

@@ -16,11 +16,9 @@ The subcommands cover the library's main entry points::
     repro flow src/repro                       # SimFlow liveness analysis
     repro purity src/repro                     # SimPure key-soundness scan
     repro purity --confirm --scale 0.1         # mutate-and-replay confirmation
-    repro shard src/repro                      # SimShard distribution safety
-    repro shard --confirm --scale 0.1          # serial/fork/spawn replay diff
     repro heat src/repro                       # SimHeat hot-path hygiene scan
     repro heat --confirm --scale 0.1           # force-fast vs force-slow replay
-    repro analyze src/repro                    # the full hexapod, one table
+    repro analyze src/repro                    # all five analyzers, one table
     repro analyze --json src/repro             # machine-readable CI artifact
 
 Installed as the ``repro`` console script; also runnable as
@@ -47,7 +45,9 @@ from repro.workloads.suite import APP_NAMES, get_app
 #: Version of the ``repro analyze --json`` report schema.  Bump when the
 #: document's shape changes so downstream consumers (the future SimServe
 #: API, CI artifact differs) can dispatch on it.  v2: the pentapod grew
-#: into a hexapod — a ``simheat`` tool section joined the report.
+#: into a hexapod — a ``simheat`` tool section joined the report.  The
+#: ``simshard`` section has since gone; every remaining section keeps its
+#: shape, so the version stays 2.
 ANALYZE_SCHEMA_VERSION = 2
 
 _NAMED_DESIGNS = {
@@ -303,9 +303,9 @@ class _Analyzer(NamedTuple):
 
 
 def _analyzers() -> Tuple[_Analyzer, ...]:
-    """The six analyzers in `repro analyze` row order.  Built inside the
+    """The five analyzers in `repro analyze` row order.  Built inside the
     analyzer commands only, so no simulator command imports them."""
-    from repro.analysis import simflow, simheat, simlint, simpure, simrace, simshard
+    from repro.analysis import simflow, simheat, simlint, simpure, simrace
 
     return (
         _Analyzer("simlint", "lint", "determinism/resource hygiene",
@@ -322,11 +322,6 @@ def _analyzers() -> Tuple[_Analyzer, ...]:
                   lambda args: simpure.confirm_purity(
                       grid=_parse_grid("simpure", args.grid),
                       scale=args.scale)),
-        _Analyzer("simshard", "shard", "distribution safety",
-                  simshard.SHARD_RULES, simshard.run_shard,
-                  lambda args: simshard.confirm_shard(
-                      grid=_parse_grid("simshard", args.grid),
-                      scale=args.scale, jobs=args.jobs)),
         _Analyzer("simheat", "heat", "twin-path & hot-path hygiene",
                   simheat.HEAT_RULES, simheat.run_heat,
                   lambda args: simheat.confirm_heat(
@@ -384,7 +379,7 @@ def _static_pass(tool: _Analyzer, paths: List[str],
 
 
 def _cmd_analyzer(args) -> int:
-    """``repro lint|race|flow|purity|shard|heat``: the static pass, and
+    """``repro lint|race|flow|purity|heat``: the static pass, and
     the dynamic confirmer when ``--confirm`` asks for it."""
     from repro.analysis.core import rule_table
 
@@ -612,22 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
             _SCALE_FLAG,
         ])
     _analyzer_parser(
-        sub, "shard",
-        "SimShard: distribution safety of the sweep layer "
-        "(static AST pass and/or serial/fork/spawn replay confirmation)",
-        "SD rule ID", "SimShard rules", static="distribution-safety",
-        confirm="pickle-roundtrip every grid point (cache key must "
-                "survive) and replay a small grid serial vs fork-pool "
-                "vs spawn-pool, requiring bit-identical fingerprints",
-        flags=[
-            _grid_flag("P-2MM/Pr40", "P-2MM/Pr40, T-AlexNet/Sh40+C10, "
-                                     "C-BLK/Baseline, C-NN/Sh40"),
-            _SCALE_FLAG,
-            (("--jobs",), dict(type=int, default=2,
-                               help="pool width for the --confirm replays "
-                                    "(default 2)")),
-        ])
-    _analyzer_parser(
         sub, "heat",
         "SimHeat: hot-path performance hygiene (static AST pass) "
         "and/or twin-path force-fast vs force-slow replay confirmation",
@@ -647,9 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "analyze",
-        help="run the full static-analysis hexapod (lint + race + flow "
-             "+ purity + shard + heat) with a unified summary table and "
-             "combined exit code",
+        help="run all five static analyzers (lint + race + flow + purity "
+             "+ heat) with a unified summary table and combined exit code",
     )
     p.add_argument("paths", nargs="*",
                    help="files/directories to analyze (default: the repro package)")

@@ -309,7 +309,7 @@ class Runner:
 
         Each point is ``(app, spec)`` or ``(app, spec, run_kwargs)``.
         This is the exact pool-boundary payload :meth:`run_many` submits;
-        the CLI and the SimShard confirmer resolve through here so their
+        the CLI resolves through here so its
         :func:`~repro.sim.validation.validate_grid` pre-flight sees the
         same triples the pool would.
         """

@@ -656,36 +656,43 @@ class Engine:
 
         A bucket *is* the unordered batch: its FIFO order is an accident
         of schedule-call order, which is exactly what the permutation is
-        probing.
+        probing.  The permuted bucket stays flat, so an interrupted drain
+        re-queues its unprocessed tail like every other loop.
         """
         heap = self._heap
         buckets = self._buckets
         pop = _heappop
         budget = self.max_events
         n = self.events_processed
+        key = None
+        bucket: list = []
+        i = size = 0
         try:
             while heap and heap[0][0] <= deadline:
                 key = heap[0]
                 bucket = buckets.pop(key)
                 pop(heap)
-                batch: List[Tuple[Callable[[Any], None], Any]] = [
-                    (bucket[i], bucket[i + 1]) for i in range(0, len(bucket), 2)
-                ]
-                if len(batch) > 1:
-                    batch = self._permute_batch(batch)
+                if len(bucket) > 2:
+                    bucket = self._permute_batch(bucket)
                 self.now = key[0]
-                for cb, pl in batch:
-                    cb(pl)
+                i = 0
+                size = len(bucket)
+                while i < size:
+                    callback = bucket[i]
+                    payload = bucket[i + 1]
+                    i += 2
+                    callback(payload)
                     n += 1
                     if n > budget:
                         raise self._budget_error()
         finally:
             self.events_processed = n
+            if i < size:
+                self._requeue_remainder(key, bucket, i)
 
-    def _permute_batch(
-        self, batch: List[Tuple[Callable[[Any], None], Any]]
-    ) -> List[Tuple[Callable[[Any], None], Any]]:
-        """Permute the distinct-handler blocks of one same-time batch.
+    def _permute_batch(self, bucket: list) -> list:
+        """Permute the distinct-handler blocks of one flat same-time
+        bucket ``[cb0, p0, cb1, p1, ...]``, returning a new flat bucket.
 
         FIFO order is preserved *within* each handler (two pending
         ``_l1_access`` events stay in arrival order — self-pairs are
@@ -694,21 +701,23 @@ class Engine:
         is permuted, which is exactly the order an innocent refactor of
         ``schedule()`` call sites could change.
         """
-        groups: Dict[Any, List[Tuple[Callable[[Any], None], Any]]] = {}
+        groups: Dict[Any, list] = {}
         order: List[Any] = []
-        for cb, pl in batch:
+        for i in range(0, len(bucket), 2):
+            cb = bucket[i]
             key = getattr(cb, "__func__", cb)
-            if key not in groups:
-                groups[key] = []
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = []
                 order.append(key)
-            groups[key].append((cb, pl))
+            group += (cb, bucket[i + 1])
         if len(order) > 1:
             self._record_batch(order)
             self._shuffle_rng.shuffle(order)
             self.shuffled_batches += 1
-        out: List[Tuple[Callable[[Any], None], Any]] = []
+        out: list = []
         for key in order:
-            out.extend(groups[key])
+            out += groups[key]
         return out
 
     def _record_batch(self, handler_keys: List[Any]) -> None:

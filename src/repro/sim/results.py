@@ -21,9 +21,8 @@ from repro.cache.cache import CacheStats
 # run's identity (fingerprint/serialization/equality).
 _OBSERVABILITY_FIELDS = ("wall_time_s", "events_per_s")
 
-#: Public name for the observability exclusion list.  SimPure (SP403) and
-#: the dynamic purity confirmer read this to know which SimResult fields
-#: are *allowed* to differ between replays of the same configuration.
+#: Public name for the observability exclusion list: the SimResult fields
+#: that are *allowed* to differ between replays of the same configuration.
 NON_IDENTITY_FIELDS = _OBSERVABILITY_FIELDS
 
 
@@ -34,9 +33,10 @@ def identity_manifest() -> Dict[str, Tuple[str, ...]]:
     Returns ``{"identity": (...), "non_identity": (...)}`` where
     ``identity`` fields participate in ``__eq__``/``fingerprint()``/
     ``to_jsonable()`` and ``non_identity`` fields are observation-only.
-    SimPure cross-checks ``non_identity`` against
-    :data:`NON_IDENTITY_FIELDS` (SP403) and the confirmer asserts that
-    only these fields may vary across replays.
+    ``TestObservabilityNeverTouchesIdentity`` in
+    ``tests/test_prop_purity.py`` holds that split: changing only the
+    ``non_identity`` fields leaves the fingerprint, equality and the
+    serialized record unchanged.
     """
     identity = tuple(f.name for f in dc_fields(SimResult) if f.compare)
     non_identity = tuple(f.name for f in dc_fields(SimResult) if not f.compare)

@@ -44,8 +44,10 @@ two serialize differently and so key differently, and an equality-keyed
 memo would hand the second whichever fragment the first one produced.
 The memo lives in this module, not on the instances: a fragment stored
 on the object would travel with it through ``pickle`` to pool workers,
-and SimShard's pickle round-trip probe would compare that stored string
-with itself instead of re-deriving the key from the restored fields.
+so a round trip would carry the old string along instead of re-deriving
+the key from the restored fields.  ``TestCacheKey::
+test_key_derivation_leaves_pickle_unchanged`` in ``tests/test_store.py``
+pins that deriving a key leaves a point's pickled bytes unchanged.
 The memo relies on the objects being frozen; mutating one after
 construction is already an error (SimLint SL104, SimPure SP404).
 

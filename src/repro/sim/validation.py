@@ -22,7 +22,7 @@ checks a resolved grid of (profile, spec, config) points — types,
 parameter sanity, cache-keyability, duplicate-after-normalization
 collisions — before :meth:`~repro.experiments.base.Runner.run_many` or
 the CLI submit anything to a process pool.  A malformed point should
-fail in milliseconds at submission, not minutes into a sharded sweep.
+fail in milliseconds at submission, not minutes into a pooled sweep.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """The analyzer core (repro.analysis.core) and the one CLI driver behind
-``repro lint|race|flow|purity|shard|heat`` and ``repro analyze``.
+``repro lint|race|flow|purity|heat`` and ``repro analyze``.
 
 The expected ``repro analyze --json`` document (tests/data/
 analyze_seeded.json) and the ``--list-rules`` tables below were recorded
-from the six per-tool command implementations this driver replaced; they
+from the per-tool command implementations this driver replaced; they
 pin its output byte for byte.
 """
 
@@ -22,7 +22,6 @@ from repro.analysis.simheat import heat_source
 from repro.analysis.simlint import lint_source
 from repro.analysis.simpure import purity_source
 from repro.analysis.simrace import analyze_source
-from repro.analysis.simshard import shard_source
 from repro.cli import _analyzers, main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -101,15 +100,6 @@ SEEDED_TREE = {
         "    def _retire(self, req):\n"
         "        self.sink(self.cfg.gpu.l2_latency)  # simheat: disable=SH613\n"
     ),
-    "repro/experiments/grid.py": (
-        "def build(runner, specs):\n"
-        "    return runner.run_many([(lambda: 1, spec) for spec in specs])\n"
-        "\n"
-        "\n"
-        "def build_quiet(runner, specs):\n"
-        "    return runner.run_many([(lambda: 1, spec) for spec in specs])"
-        "  # simshard: disable=SD501\n"
-    ),
     "repro/sim/knobs.py": (
         "import os\n"
         "\n"
@@ -129,7 +119,6 @@ SEEDS = {
     "race": ("race_seed.py", "SR201", analyze_source),
     "flow": ("flow_seed.py", "SF301", flow_source),
     "purity": ("repro/sim/knobs.py", "SP401", purity_source),
-    "shard": ("repro/experiments/grid.py", "SD501", shard_source),
     "heat": ("heat_seed.py", "SH613", heat_source),
 }
 
@@ -156,20 +145,6 @@ WARNING_TREES = {
         ),
         "repro/sim/system.py": "def run(cfg):\n    return cfg.scale\n",
     },
-    "shard": {"repro/experiments/w.py": (
-        "from concurrent.futures import ProcessPoolExecutor\n"
-        "\n"
-        'TABLE = {"a": 1}\n'
-        "\n"
-        "\n"
-        "def _work(p):\n"
-        "    return TABLE[p]\n"
-        "\n"
-        "\n"
-        "def sweep(items):\n"
-        "    with ProcessPoolExecutor() as pool:\n"
-        "        return list(pool.map(_work, items))\n"
-    )},
     "heat": {"w.py": (
         'SIMHEAT_HOT_FUNCTIONS = ("System._complete",)\n'
         "\n"
@@ -209,16 +184,7 @@ LIST_RULES = {
         "key\n"
         "SP402  warning  keyed field is never read by the simulator "
         "(over-keying)\n"
-        "SP403  error    non-identity field flows into result identity\n"
         "SP404  error    simulation mutates a keyed input object\n"
-        "SP405  error    keyed/serialized field lacks JSON roundtrip "
-        "coverage\n"
-    ),
-    "shard": (
-        "SD501  error    non-picklable value reaches a pool boundary\n"
-        "SD502  error    worker-side use of a mutable module global\n"
-        "SD503  error    fork-unsafe construct in worker-reachable code\n"
-        "SD505  error    worker results merged in nondeterministic order\n"
     ),
     "heat": (
         "SH600  error    module failed to parse\n"
@@ -256,10 +222,10 @@ def seeded(tmp_path, monkeypatch):
 def test_registry_is_the_analyze_row_order():
     assert [(t.name, t.command) for t in _analyzers()] == [
         ("simlint", "lint"), ("simrace", "race"), ("simflow", "flow"),
-        ("simpure", "purity"), ("simshard", "shard"), ("simheat", "heat"),
+        ("simpure", "purity"), ("simheat", "heat"),
     ]
     assert [t.command for t in _analyzers() if t.confirm] == [
-        "race", "purity", "shard", "heat"]
+        "race", "purity", "heat"]
 
 
 def test_analyze_json_matches_the_recorded_document(seeded, capsys):
@@ -343,7 +309,7 @@ def test_rule_selection_ignores_case(command, seeded, capsys):
     assert capsys.readouterr() == lower
 
 
-@pytest.mark.parametrize("command", ["purity", "shard", "heat"])
+@pytest.mark.parametrize("command", ["purity", "heat"])
 @pytest.mark.parametrize("entry", ["nope", "P-2MM/Nope", "Nope/Pr40"])
 def test_bad_grid_entry_is_usage_error(command, entry, capsys):
     assert main([command, "--confirm", "--grid", entry]) == 2

@@ -57,17 +57,6 @@ class TestParser:
         assert args.scale == 0.1
         assert args.static is False
 
-    def test_shard_args(self):
-        args = build_parser().parse_args(
-            ["shard", "--confirm", "--grid", "P-2MM/Pr40", "--scale", "0.1",
-             "--jobs", "3"]
-        )
-        assert args.confirm is True
-        assert args.grid == ["P-2MM/Pr40"]
-        assert args.scale == 0.1
-        assert args.jobs == 3
-        assert args.static is False
-
     def test_heat_args(self):
         args = build_parser().parse_args(
             ["heat", "--confirm", "--grid", "P-2MM/Sh40+C10", "--scale", "0.1",

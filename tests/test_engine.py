@@ -313,21 +313,26 @@ def test_run_until_feeds_the_shuffle_rng():
     assert len(eng.batch_pairs) == 1
 
 
-@pytest.mark.parametrize(
-    "instrument", ["plain", "watchdog", "profiler", "shuffle"]
-)
-def test_event_budget_is_enforced_in_every_drain_loop(instrument):
-    """One budget check, one message, all four loops (including under a
-    deadline — run_until used to carry its own diverging copy)."""
-    eng = Engine(
-        max_events=50, shuffle_seed=3 if instrument == "shuffle" else None
-    )
+DRAIN_LOOPS = ["plain", "watchdog", "profiler", "shuffle"]
+
+
+def _engine(instrument, **kwargs):
+    """An engine that drains through the named loop."""
+    eng = Engine(shuffle_seed=3 if instrument == "shuffle" else None, **kwargs)
     if instrument == "watchdog":
         eng.attach_watchdog(_CountingWatchdog())
     elif instrument == "profiler":
         from repro.sim.profiler import EventProfiler
 
         eng.attach_profiler(EventProfiler())
+    return eng
+
+
+@pytest.mark.parametrize("instrument", DRAIN_LOOPS)
+def test_event_budget_is_enforced_in_every_drain_loop(instrument):
+    """One budget check, one message, all four loops (including under a
+    deadline — run_until used to carry its own diverging copy)."""
+    eng = _engine(instrument, max_events=50)
 
     def forever(_):
         eng.schedule_in(1.0, forever, None)
@@ -336,6 +341,32 @@ def test_event_budget_is_enforced_in_every_drain_loop(instrument):
     with pytest.raises(RuntimeError, match="event budget"):
         eng.run_until(1e9)
     assert eng.events_processed == 51  # counter survives the raise
+
+
+@pytest.mark.parametrize("instrument", DRAIN_LOOPS)
+def test_raising_callback_requeues_the_rest_of_its_bucket(instrument):
+    """A callback that raises mid-bucket loses no other event: the
+    bucket's unprocessed tail is re-queued and the next run drains it."""
+    eng = _engine(instrument)
+    ran = []
+
+    def handler(tag):
+        # One distinct function per event, so shuffle mode permutes them;
+        # whichever event runs second raises, whatever the permutation.
+        def call(_):
+            ran.append(tag)
+            if len(ran) == 2:
+                raise ValueError("boom")
+
+        return call
+
+    for tag in range(6):
+        eng.schedule(1.0, handler(tag), None)
+    with pytest.raises(ValueError, match="boom"):
+        eng.run()
+    eng.run()
+    assert sorted(ran) == [0, 1, 2, 3, 4, 5]
+    assert eng.empty()
 
 
 def test_instrumented_drains_preserve_event_order():

@@ -2,9 +2,12 @@
 (AppProfile, DesignSpec, SimConfig) grid point must cross a pickle
 boundary bit-faithfully — the restored triple is equal, derives the
 same ``sim_cache_key``, and a simulated result's fingerprint survives
-its own roundtrip.  These are the invariants ``repro shard --confirm``
-replays with real process pools; Hypothesis drives the serialization
-side with thousands of random grid points at zero simulation cost.
+its own roundtrip.  Real process pools replay the same invariants in
+Tier-1 (``TestFleetIdentity`` in ``tests/test_fleet.py``;
+``test_parallel_identical_to_serial`` and
+``test_spawn_pool_identical_to_serial`` in ``tests/test_sweep.py``);
+Hypothesis drives the serialization side with thousands of random grid
+points at zero simulation cost.
 """
 
 import pickle

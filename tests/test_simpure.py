@@ -1,5 +1,5 @@
-"""SimPure: cache-key & fingerprint soundness analysis (SP401–SP405)
-and its mutate-and-replay confirmer."""
+"""SimPure: cache-key & fingerprint soundness analysis (SP401, SP402,
+SP404) and its mutate-and-replay confirmer."""
 
 import json
 import textwrap
@@ -162,116 +162,6 @@ def test_non_sim_core_paths_are_out_of_scope():
     assert purity_source(src, path="src/repro/sim/system.py") != []
 
 
-# ------------------------------------------------- SP403 (identity leaks)
-
-
-_LEAKY_RESULT = """
-    from dataclasses import dataclass, field
-
-    @dataclass
-    class R:
-        cycles: float = 0.0
-        wall_time_s: float = field(default=0.0, compare=False)
-
-        def fingerprint(self):
-            return (self.cycles, self.wall_time_s)
-"""
-
-
-def test_non_identity_read_in_fingerprint_is_flagged():
-    findings = _analyze(_LEAKY_RESULT)
-    assert [f.rule_id for f in findings] == ["SP403"]
-    assert "wall_time_s" in findings[0].message
-
-
-def test_blanket_asdict_without_exclusion_is_flagged():
-    findings = _analyze(
-        """
-        from dataclasses import asdict, dataclass, field
-
-        @dataclass
-        class R:
-            cycles: float = 0.0
-            wall_time_s: float = field(default=0.0, compare=False)
-
-            def to_jsonable(self):
-                return asdict(self)
-
-            @classmethod
-            def from_jsonable(cls, data):
-                return cls(**data)
-        """
-    )
-    assert [f.rule_id for f in findings] == ["SP403"]
-    assert "asdict" in findings[0].message
-
-
-def test_exclusion_via_module_constant_loop_is_proven():
-    findings = _analyze(
-        """
-        from dataclasses import asdict, dataclass, field
-
-        _OBSERVABILITY_FIELDS = ("wall_time_s",)
-
-        @dataclass
-        class R:
-            cycles: float = 0.0
-            wall_time_s: float = field(default=0.0, compare=False)
-
-            def to_jsonable(self):
-                data = asdict(self)
-                for name in _OBSERVABILITY_FIELDS:
-                    data.pop(name, None)
-                return data
-
-            @classmethod
-            def from_jsonable(cls, data):
-                return cls(**data)
-        """
-    )
-    assert findings == []
-
-
-def test_literal_pop_exclusion_is_proven():
-    findings = _analyze(
-        """
-        from dataclasses import asdict, dataclass, field
-
-        @dataclass
-        class R:
-            cycles: float = 0.0
-            wall_time_s: float = field(default=0.0, compare=False)
-
-            def to_jsonable(self):
-                data = asdict(self)
-                data.pop("wall_time_s", None)
-                return data
-
-            @classmethod
-            def from_jsonable(cls, data):
-                return cls(**data)
-        """
-    )
-    assert findings == []
-
-
-def test_non_identity_read_outside_identity_methods_is_fine():
-    findings = _analyze(
-        """
-        from dataclasses import dataclass, field
-
-        @dataclass
-        class R:
-            cycles: float = 0.0
-            wall_time_s: float = field(default=0.0, compare=False)
-
-            def throughput(self):
-                return self.cycles / self.wall_time_s
-        """
-    )
-    assert findings == []
-
-
 # ------------------------------------------------- SP404 (input mutation)
 
 
@@ -357,101 +247,6 @@ def test_mutating_own_state_is_allowed():
     assert findings == []
 
 
-# ------------------------------------------------- SP405 (roundtrip coverage)
-
-
-def test_one_sided_serialization_is_flagged():
-    findings = _analyze(
-        """
-        class R:
-            def to_jsonable(self):
-                return {}
-        """
-    )
-    assert [f.rule_id for f in findings] == ["SP405"]
-    assert "from_jsonable" in findings[0].message
-
-
-def test_asymmetric_field_transform_is_flagged():
-    findings = _analyze(
-        """
-        class R:
-            def to_jsonable(self):
-                data = {}
-                data["l1"] = dict(self.l1)
-                return data
-
-            @classmethod
-            def from_jsonable(cls, data):
-                return cls()
-        """
-    )
-    assert [f.rule_id for f in findings] == ["SP405"]
-    assert "'l1'" in findings[0].message
-
-
-def test_symmetric_transforms_are_fine():
-    findings = _analyze(
-        """
-        class R:
-            def to_jsonable(self):
-                data = {}
-                data["l1"] = dict(self.l1)
-                return data
-
-            @classmethod
-            def from_jsonable(cls, data):
-                data["l1"] = tuple(sorted(data["l1"].items()))
-                return cls(**data)
-        """
-    )
-    assert findings == []
-
-
-def test_unkeyable_annotation_on_keyed_class_is_flagged():
-    findings = _analyze(
-        """
-        from dataclasses import dataclass
-        from typing import Set
-
-        @dataclass
-        class SimConfig:
-            tags: Set[str] = None
-        """
-    )
-    assert [f.rule_id for f in findings] == ["SP405"]
-    assert "Set" in findings[0].message
-
-
-def test_classvar_annotations_are_not_fields():
-    findings = _analyze(
-        """
-        from dataclasses import dataclass
-        from typing import ClassVar, FrozenSet
-
-        @dataclass
-        class SimConfig:
-            NEUTRAL: ClassVar[FrozenSet[str]] = frozenset()
-            scale: float = 1.0
-        """
-    )
-    assert findings == []
-
-
-def test_unkeyable_annotation_on_unkeyed_class_is_fine():
-    findings = _analyze(
-        """
-        from dataclasses import dataclass
-        from typing import Set
-
-        @dataclass
-        class ScratchState:
-            tags: Set[str] = None
-        """
-    )
-    assert findings == []
-
-
 # -------------------------------------------- suppression / select / errors
 
 
@@ -485,9 +280,9 @@ def test_syntax_error_is_reported_not_raised():
     assert findings[0].rule_id == "SP001"
 
 
-def test_rule_table_covers_sp401_to_sp405():
+def test_rule_table_lists_sp401_sp402_sp404():
     ids = [rid for rid, _, _ in rule_table(PURITY_RULES)]
-    assert ids == ["SP401", "SP402", "SP403", "SP404", "SP405"]
+    assert ids == ["SP401", "SP402", "SP404"]
 
 
 def test_declared_env_inputs_document_their_rationale():
@@ -530,6 +325,27 @@ def test_unread_keyed_field_is_flagged(tmp_path):
     # ...and declared-neutral fields are never over-keying candidates.
     assert "SimConfig.sanitize" not in flagged
     assert "SimConfig.watchdog" not in flagged
+
+
+def test_classvar_annotations_are_not_fields(tmp_path):
+    # SP402 anchors an unread keyed field at its definition line.  A
+    # ClassVar is not a dataclass field, so one that shares a keyed
+    # field's name is no anchor and the finding falls back to line 1.
+    tree = _write_tree(tmp_path, ["scale"])
+    (tree / "repro" / "sim" / "config.py").write_text(
+        "from dataclasses import dataclass\n"
+        "from typing import ClassVar\n\n\n"
+        "@dataclass(frozen=True)\n"
+        "class SimConfig:\n"
+        "    max_events: ClassVar[int] = 100\n"
+        "    scale: float = 1.0\n"
+    )
+    findings = run_purity([str(tree)])
+    [line] = [
+        f.line for f in findings
+        if f.rule_id == "SP402" and "SimConfig.max_events " in f.message
+    ]
+    assert line == 1
 
 
 def test_sp402_needs_the_sim_core_in_scope(tmp_path):
@@ -634,7 +450,8 @@ def test_cli_purity_list_rules(capsys):
 
     assert main(["purity", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert "SP401" in out and "SP405" in out
+    assert "SP401" in out and "SP404" in out
+    assert "SP403" not in out and "SP405" not in out
 
 
 def test_cli_purity_strict_on_shipped_tree(capsys):
@@ -690,7 +507,7 @@ def test_cli_analyze_json_artifact(tmp_path, capsys):
     assert doc["exit_code"] == 1
     tools = {t["tool"]: t for t in doc["tools"]}
     assert set(tools) == {"simlint", "simrace", "simflow", "simpure",
-                          "simshard", "simheat"}
+                          "simheat"}
     assert tools["simpure"]["status"] == "fail"
     finding = tools["simpure"]["findings"][0]
     assert finding["rule"] == "SP401"
