@@ -12,7 +12,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import time
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait
 
 import numpy as np
 import pytest
@@ -342,9 +344,15 @@ def test_idle_worker_death_cold_starts_a_fresh_pool():
     shutdown_fleet()
     fleet = get_fleet()
     pool = fleet.acquire(2, mp_context="fork")
-    victim = next(iter(pool._processes.values()))
+    workers = list(pool._processes.values())
+    victim = workers[0]
     os.kill(victim.pid, signal.SIGKILL)
-    victim.join(timeout=30)
+    # Poll rather than join(): the pool's manager thread reaps the victim
+    # too, and a join that loses that waitpid race returns with the
+    # victim still reported alive.
+    deadline = time.monotonic() + 30
+    while victim.is_alive() and time.monotonic() < deadline:
+        time.sleep(0.01)
     assert not victim.is_alive()
 
     # The warm pool lost a worker between sweeps; the next sweep must
@@ -354,3 +362,6 @@ def test_idle_worker_death_cold_starts_a_fresh_pool():
     assert fleet.cold_starts == 2
     assert survivor.fleet_stats.get("cold_starts") == 1
     assert survivor.result_fingerprints() == serial.result_fingerprints()
+    # The dropped pool's other worker is gone too, so nothing is left for
+    # the executor to wait on at interpreter exit.
+    assert all(wait([w.sentinel], timeout=30) for w in workers)
