@@ -3,7 +3,7 @@
 PYTHON ?= python
 SCALE ?= 1.0
 
-.PHONY: install test bench bench-quick figures characterize clean loc lint sanitize-test race flow purity heat analyze profile perf-smoke
+.PHONY: install test bench bench-quick figures characterize clean loc lint sanitize-test race flow purity analyze profile perf-smoke
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -53,22 +53,12 @@ purity:
 	PYTHONPATH=src $(PYTHON) -m repro.cli purity --strict src/repro
 	PYTHONPATH=src $(PYTHON) -m repro.cli purity --confirm --scale 0.1
 
-# SimHeat: static twin-path drift & hot-path hygiene pass, then a
-# force-fast vs force-slow differential replay (bit-identical
-# fingerprints required) with a tracemalloc allocation profile of the
-# hot handlers.
-heat:
-	PYTHONPATH=src $(PYTHON) -m repro.cli heat --strict src/repro
-	PYTHONPATH=src $(PYTHON) -m repro.cli heat --confirm --scale 0.1
-
-# All five static analyzers (SimLint + SimRace + SimFlow + SimPure +
-# SimHeat) with a unified summary table and combined exit code, then the
-# cheap dynamic confirmations (SimPure mutate-and-replay, SimHeat
-# force-fast/force-slow differential replay).
+# All four static analyzers (SimLint + SimRace + SimFlow + SimPure) with
+# a unified summary table and combined exit code, then the cheap dynamic
+# confirmation (SimPure mutate-and-replay).
 analyze:
 	PYTHONPATH=src $(PYTHON) -m repro.cli analyze src/repro
 	PYTHONPATH=src $(PYTHON) -m repro.cli purity --confirm --scale 0.1
-	PYTHONPATH=src $(PYTHON) -m repro.cli heat --confirm --scale 0.1 --no-alloc
 
 # Run the simulator-facing test suites with the SimSanitizer ledger on.
 sanitize-test:

@@ -1,10 +1,10 @@
 """Metrics, classification and tabulation helpers for the experiments,
 the SimSanitizer resource ledger (:mod:`repro.analysis.sanitizer`), and
-the five static analyzers: SimLint (:mod:`repro.analysis.simlint`),
+the four static analyzers: SimLint (:mod:`repro.analysis.simlint`),
 SimRace (:mod:`repro.analysis.simrace`), SimFlow
-(:mod:`repro.analysis.simflow`), SimPure (:mod:`repro.analysis.simpure`)
-and SimHeat (:mod:`repro.analysis.simheat`), built on the shared
-plumbing in :mod:`repro.analysis.core`.
+(:mod:`repro.analysis.simflow`) and SimPure
+(:mod:`repro.analysis.simpure`), built on the shared plumbing in
+:mod:`repro.analysis.core`.
 
 The analyzers are imported from their submodules and are not re-exported
 here: the simulator imports this package, and no simulation needs them.

@@ -16,9 +16,7 @@ The subcommands cover the library's main entry points::
     repro flow src/repro                       # SimFlow liveness analysis
     repro purity src/repro                     # SimPure key-soundness scan
     repro purity --confirm --scale 0.1         # mutate-and-replay confirmation
-    repro heat src/repro                       # SimHeat hot-path hygiene scan
-    repro heat --confirm --scale 0.1           # force-fast vs force-slow replay
-    repro analyze src/repro                    # all five analyzers, one table
+    repro analyze src/repro                    # all four analyzers, one table
     repro analyze --json src/repro             # machine-readable CI artifact
 
 Installed as the ``repro`` console script; also runnable as
@@ -46,8 +44,8 @@ from repro.workloads.suite import APP_NAMES, get_app
 #: document's shape changes so downstream consumers (the future SimServe
 #: API, CI artifact differs) can dispatch on it.  v2: the pentapod grew
 #: into a hexapod — a ``simheat`` tool section joined the report.  The
-#: ``simshard`` section has since gone; every remaining section keeps its
-#: shape, so the version stays 2.
+#: ``simshard`` and ``simheat`` sections have since gone; every remaining
+#: section keeps its shape, so the version stays 2.
 ANALYZE_SCHEMA_VERSION = 2
 
 _NAMED_DESIGNS = {
@@ -303,9 +301,9 @@ class _Analyzer(NamedTuple):
 
 
 def _analyzers() -> Tuple[_Analyzer, ...]:
-    """The five analyzers in `repro analyze` row order.  Built inside the
+    """The four analyzers in `repro analyze` row order.  Built inside the
     analyzer commands only, so no simulator command imports them."""
-    from repro.analysis import simflow, simheat, simlint, simpure, simrace
+    from repro.analysis import simflow, simlint, simpure, simrace
 
     return (
         _Analyzer("simlint", "lint", "determinism/resource hygiene",
@@ -322,16 +320,11 @@ def _analyzers() -> Tuple[_Analyzer, ...]:
                   lambda args: simpure.confirm_purity(
                       grid=_parse_grid("simpure", args.grid),
                       scale=args.scale)),
-        _Analyzer("simheat", "heat", "twin-path & hot-path hygiene",
-                  simheat.HEAT_RULES, simheat.run_heat,
-                  lambda args: simheat.confirm_heat(
-                      grid=_parse_grid("simheat", args.grid, "P-2MM/Sh40+C10"),
-                      scale=args.scale, trace_alloc=not args.no_alloc)),
     )
 
 
 def _parse_grid(
-    tool: str, entries: Optional[List[str]], example: str = "P-2MM/Pr40",
+    tool: str, entries: Optional[List[str]],
 ) -> Optional[List[Tuple[str, str]]]:
     """``--grid APP/DESIGN`` entries as (app, design) pairs, or None (the
     confirmer's default grid) when none were given."""
@@ -343,7 +336,7 @@ def _parse_grid(
         try:
             if not design:
                 raise argparse.ArgumentTypeError(
-                    f"expected APP/DESIGN, e.g. {example}")
+                    "expected APP/DESIGN, e.g. P-2MM/Pr40")
             if app_name not in APP_NAMES:
                 raise argparse.ArgumentTypeError(f"unknown app {app_name!r}")
             parse_design(design)
@@ -379,7 +372,7 @@ def _static_pass(tool: _Analyzer, paths: List[str],
 
 
 def _cmd_analyzer(args) -> int:
-    """``repro lint|race|flow|purity|heat``: the static pass, and
+    """``repro lint|race|flow|purity``: the static pass, and
     the dynamic confirmer when ``--confirm`` asks for it."""
     from repro.analysis.core import rule_table
 
@@ -496,17 +489,6 @@ def _analyzer_parser(sub, command: str, summary: str, rule_id: str,
     p.set_defaults(func=_cmd_analyzer)
 
 
-def _grid_flag(example: str, default: str):
-    return (("--grid",), dict(
-        action="append", metavar="APP/DESIGN",
-        help=f"grid point for --confirm, e.g. {example} "
-             f"(repeatable; default: {default})"))
-
-
-_SCALE_FLAG = (("--scale",), dict(
-    type=float, default=0.1, help="workload scale for --confirm"))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -602,32 +584,18 @@ def build_parser() -> argparse.ArgumentParser:
                 "excluded input (fingerprint must stay bit-identical) "
                 "over a small app/design grid",
         flags=[
-            _grid_flag("P-2MM/Pr40",
-                       "P-2MM/Pr40, T-AlexNet/Sh40+C10, C-BLK/Baseline"),
-            _SCALE_FLAG,
-        ])
-    _analyzer_parser(
-        sub, "heat",
-        "SimHeat: hot-path performance hygiene (static AST pass) "
-        "and/or twin-path force-fast vs force-slow replay confirmation",
-        "SH rule ID", "SimHeat rules", static="hot-path hygiene",
-        confirm="replay a small grid with the hot path forced on and "
-                "forced off, requiring bit-identical fingerprints, "
-                "and alloc-profile the hot handlers",
-        flags=[
-            _grid_flag("P-2MM/Sh40+C10", "T-AlexNet/Sh40, P-2MM/Sh40+C10, "
-                                         "C-SP/Pr40, C-BLK/Baseline"),
-            _SCALE_FLAG,
-            (("--no-alloc",), dict(action="store_true",
-                                   help="skip the tracemalloc allocation "
-                                        "profile in --confirm (twin replays "
-                                        "only; much faster)")),
+            (("--grid",), dict(
+                action="append", metavar="APP/DESIGN",
+                help="grid point for --confirm, e.g. P-2MM/Pr40 (repeatable; "
+                     "default: P-2MM/Pr40, T-AlexNet/Sh40+C10, C-BLK/Baseline)")),
+            (("--scale",), dict(type=float, default=0.1,
+                                help="workload scale for --confirm")),
         ])
 
     p = sub.add_parser(
         "analyze",
-        help="run all five static analyzers (lint + race + flow + purity "
-             "+ heat) with a unified summary table and combined exit code",
+        help="run all four static analyzers (lint + race + flow + purity) "
+             "with a unified summary table and combined exit code",
     )
     p.add_argument("paths", nargs="*",
                    help="files/directories to analyze (default: the repro package)")

@@ -17,11 +17,6 @@ from __future__ import annotations
 
 from repro.sim.resources import ServerGroup
 
-# SimHeat hot-function manifest: the fast traversal twin runs on every
-# NoC hop of a production run, so it is held to the hot-path hygiene rules
-# (SH611-SH615).
-SIMHEAT_HOT_FUNCTIONS = ("Crossbar.traverse_fast",)
-
 
 class Crossbar:
     """Timing model of one ``num_in x num_out`` crossbar."""

@@ -80,18 +80,6 @@ _INF = math.inf
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
-# SimHeat hot-function manifest: functions in this module that run once
-# per event on production runs and are therefore held to the hot-path
-# hygiene rules (SH611-SH615).  The diagnostic loops (_drain_shuffled,
-# _drain_watched, _drain_profiled*) are deliberately absent — they trade
-# speed for observability by design.
-SIMHEAT_HOT_FUNCTIONS = (
-    "Engine.schedule",
-    "Engine.schedule_batch",
-    "Engine._drain_plain",
-    "Engine._drain_batched",
-)
-
 
 class Engine:
     """Minimal deterministic discrete-event simulator."""
@@ -192,7 +180,7 @@ class Engine:
         if bucket is None:
             # One two-entry bucket per distinct key; amortized across every
             # later same-key event, which is a pure dict-hit append.
-            self._buckets[key] = [callback, payload]  # simheat: disable=SH611
+            self._buckets[key] = [callback, payload]
             _heappush(self._heap, key)
         else:
             bucket.append(callback)
@@ -280,7 +268,7 @@ class Engine:
         key = (time, priority)
         bucket = self._buckets.get(key)
         if bucket is None:
-            bucket = []  # simheat: disable=SH611
+            bucket = []
             self._buckets[key] = bucket
             _heappush(self._heap, key)
         append = bucket.append
@@ -347,10 +335,7 @@ class Engine:
             elif self._watchdog is not None:
                 self._drain_watched(deadline)
             elif self._profiler is not None:
-                if getattr(self._profiler, "trace_alloc", False):
-                    self._drain_profiled_alloc(deadline)
-                else:
-                    self._drain_profiled(deadline)
+                self._drain_profiled(deadline)
             elif self._batch_handlers:
                 self._drain_batched(deadline)
             else:
@@ -390,7 +375,7 @@ class Engine:
         budget = self.max_events
         n = self.events_processed
         key = None
-        bucket: list = []  # simheat: disable=SH611
+        bucket: list = []
         i = size = 0
         try:
             # Value (not identity) check: callers construct their own
@@ -456,7 +441,7 @@ class Engine:
         twins = self._batch_handlers
         n = self.events_processed
         key = None
-        bucket: list = []  # simheat: disable=SH611
+        bucket: list = []
         i = size = 0
         try:
             while heap and heap[0][0] <= deadline:
@@ -542,61 +527,14 @@ class Engine:
     def _drain_profiled(self, deadline: float) -> None:
         """Drain the queue timing every callback with the profiler clock.
 
-        Same event order as the plain loop; only wall-clock bookkeeping
-        is added, so results stay bit-identical to uninstrumented runs.
+        With ``profiler.trace_alloc`` set, the traced-memory counter of
+        :mod:`tracemalloc` is also sampled around each callback and the
+        net bytes are attributed to its handler; the caller
+        (``profile_simulation``) owns tracemalloc start/stop.  Same event
+        order as the plain loop; only bookkeeping is added, so results
+        stay bit-identical to uninstrumented runs.
         """
-        heap = self._heap
-        buckets = self._buckets
-        pop = _heappop
-        prof = self._profiler
-        counts = prof.counts
-        self_time = prof.self_time
-        clock = prof.clock
-        budget = self.max_events
-        n = self.events_processed
-        key = None
-        bucket: list = []
-        i = size = 0
-        t_enter = clock()
-        try:
-            while heap and heap[0][0] <= deadline:
-                key = heap[0]
-                bucket = buckets.pop(key)
-                pop(heap)
-                self.now = key[0]
-                i = 0
-                size = len(bucket)
-                while i < size:
-                    callback = bucket[i]
-                    payload = bucket[i + 1]
-                    i += 2
-                    fn = getattr(callback, "__func__", callback)
-                    t0 = clock()
-                    callback(payload)
-                    dt = clock() - t0
-                    if fn in counts:
-                        counts[fn] += 1
-                        self_time[fn] += dt
-                    else:
-                        counts[fn] = 1
-                        self_time[fn] = dt
-                    n += 1
-                    if n > budget:
-                        raise self._budget_error()
-        finally:
-            prof.wall_time += clock() - t_enter
-            self.events_processed = n
-            if i < size:
-                self._requeue_remainder(key, bucket, i)
-
-    def _drain_profiled_alloc(self, deadline: float) -> None:
-        """Profiled drain that additionally attributes heap allocation to
-        handlers via :mod:`tracemalloc` (SimHeat's dynamic half of the
-        SH611/SH614 rules).  The caller (``profile_simulation``) owns
-        tracemalloc start/stop; this loop only samples the traced-memory
-        counter around each callback.  Same event order as the plain loop.
-        """
-        import tracemalloc
+        from tracemalloc import get_traced_memory as traced
 
         heap = self._heap
         buckets = self._buckets
@@ -605,8 +543,8 @@ class Engine:
         counts = prof.counts
         self_time = prof.self_time
         alloc_bytes = prof.alloc_bytes
+        trace_alloc = prof.trace_alloc
         clock = prof.clock
-        traced = tracemalloc.get_traced_memory
         budget = self.max_events
         n = self.events_processed
         key = None
@@ -626,19 +564,23 @@ class Engine:
                     payload = bucket[i + 1]
                     i += 2
                     fn = getattr(callback, "__func__", callback)
-                    a0 = traced()[0]
-                    t0 = clock()
-                    callback(payload)
-                    dt = clock() - t0
-                    da = traced()[0] - a0
+                    if trace_alloc:
+                        a0 = traced()[0]
+                        t0 = clock()
+                        callback(payload)
+                        dt = clock() - t0
+                        alloc_bytes[fn] = (
+                            alloc_bytes.get(fn, 0) + traced()[0] - a0)
+                    else:
+                        t0 = clock()
+                        callback(payload)
+                        dt = clock() - t0
                     if fn in counts:
                         counts[fn] += 1
                         self_time[fn] += dt
-                        alloc_bytes[fn] += da
                     else:
                         counts[fn] = 1
                         self_time[fn] = dt
-                        alloc_bytes[fn] = da
                     n += 1
                     if n > budget:
                         raise self._budget_error()

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
+import multiprocessing.connection
 import os
 import time
 from collections import OrderedDict
@@ -161,10 +162,13 @@ def _fleet_run(point: Tuple) -> SimResult:
 
 def _pool_is_live(pool: ProcessPoolExecutor) -> bool:
     """False once the executor has marked itself broken or any of its
-    worker processes has exited."""
+    worker processes has exited.  A worker's sentinel is readable from
+    the moment it dies, while ``is_alive()`` can still say True until
+    the process is reaped."""
     if pool._broken:
         return False
-    return all(proc.is_alive() for proc in pool._processes.values())
+    sentinels = [proc.sentinel for proc in pool._processes.values()]
+    return not multiprocessing.connection.wait(sentinels, timeout=0)
 
 
 class WorkerFleet:

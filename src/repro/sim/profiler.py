@@ -49,9 +49,9 @@ class EventProfiler:
 
     ``clock`` defaults to the highest-resolution monotonic wall clock;
     tests may inject a deterministic fake.  With ``trace_alloc=True`` the
-    engine selects the tracemalloc-sampling drain loop and fills
-    :attr:`alloc_bytes` with net traced bytes per handler (SimHeat's
-    pooled-lifecycle evidence); the caller must have tracemalloc running.
+    engine's profiled drain also samples tracemalloc around each callback
+    and fills :attr:`alloc_bytes` with net traced bytes per handler
+    (``repro profile --alloc``); the caller must have tracemalloc running.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None,

@@ -21,11 +21,6 @@ halves it again.
 
 from __future__ import annotations
 
-# SimHeat hot-function manifest: the fast reservation twin runs on every
-# modelled hop of a production run, so it is held to the hot-path hygiene
-# rules (SH611-SH615).
-SIMHEAT_HOT_FUNCTIONS = ("Server.reserve_fast",)
-
 
 class Server:
     """A single pipelined resource with occupancy-based contention.
@@ -165,10 +160,6 @@ class ServerGroup:
     def max_utilization(self, total_cycles: float) -> float:
         """Maximum utilization across the group (paper's Fig. 2 / Fig. 17 metric)."""
         return max(s.utilization(total_cycles) for s in self.servers)
-
-    def mean_utilization(self, total_cycles: float) -> float:
-        """Average utilization across the group."""
-        return sum(s.utilization(total_cycles) for s in self.servers) / len(self.servers)
 
     def total_served(self) -> int:
         """Total transactions served by the whole group."""

@@ -88,18 +88,6 @@ _STORE = int(AccessKind.STORE)
 _ATOMIC = int(AccessKind.ATOMIC)
 _BYPASS = int(AccessKind.BYPASS)
 
-# SimHeat hot-function manifest: the LOAD issue twin and the node-entry
-# step it calls run once per access on production runs but are not
-# scheduled callbacks, so they are named here to be held to the hot-path
-# hygiene rules (SH611-SH615).
-SIMHEAT_HOT_FUNCTIONS = ("GPUSystem._issue_load_fast", "GPUSystem._enter_node")
-
-# SimHeat SH614 allowlist: self-rooted containers a pooled MemoryRequest
-# may legitimately enter — the free list itself, and the Q1 credit queue
-# whose entries are always drained back into the lifecycle.
-SIMHEAT_REQUEST_SAFE_SINKS = ("_req_pool", "_node_waiters")
-
-
 class GPUSystem:
     """One runnable simulation instance (single-use: build, run, read)."""
 
@@ -179,9 +167,9 @@ class GPUSystem:
         if self.cfg.watchdog:
             self._attach_watchdog()
 
-        # SimHeat differential-confirmer knob (see force_slow_path): when
-        # set, _wire_hot_path keeps the instrumented slow twins even with
-        # no ledger attached.  Deliberately *not* a SimConfig field — it
+        # Slow-path reference knob (see force_slow_path): when set,
+        # _wire_hot_path keeps the instrumented slow twins even with no
+        # ledger attached.  Deliberately *not* a SimConfig field — it
         # must never perturb sim_cache_key or the fingerprint contract.
         self._force_slow = False
         # SimVec confirmer knob (see force_scalar_dispatch): when set,
@@ -266,13 +254,14 @@ class GPUSystem:
             self.dispatch_tier = "scalar" if twins is None else "fused"
 
     def force_slow_path(self) -> None:
-        """Re-wire the system onto the instrumented slow twins (SimHeat's
-        differential confirmer).  Safe before the first event: all batched
-        counters are still zero, and the slow twins run correctly with no
-        ledger attached (``_note`` no-ops, ``_issue_cold`` skips the
-        acquire, the owner mirror on ``reserve`` is inert).  The resulting
-        run must be bit-identical to the fast wiring — that identity *is*
-        the twin-path contract."""
+        """Re-wire the system onto the instrumented slow twins, the
+        reference side of the twin-path tests (tests/test_simturbo.py,
+        tests/test_prop_simvec.py).  Safe before the first event: all
+        batched counters are still zero, and the slow twins run correctly
+        with no ledger attached (``_note`` no-ops, ``_issue_cold`` skips
+        the acquire, the owner mirror on ``reserve`` is inert).  The
+        resulting run must be bit-identical to the fast wiring — that
+        identity *is* the twin-path contract."""
         if self._ran:
             raise RuntimeError("force_slow_path() must be called before run()")
         self._force_slow = True

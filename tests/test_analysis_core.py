@@ -1,5 +1,5 @@
 """The analyzer core (repro.analysis.core) and the one CLI driver behind
-``repro lint|race|flow|purity|heat`` and ``repro analyze``.
+``repro lint|race|flow|purity`` and ``repro analyze``.
 
 The expected ``repro analyze --json`` document (tests/data/
 analyze_seeded.json) and the ``--list-rules`` tables below were recorded
@@ -18,7 +18,6 @@ import pytest
 
 from repro.analysis.core import ModuleContext
 from repro.analysis.simflow import flow_source
-from repro.analysis.simheat import heat_source
 from repro.analysis.simlint import lint_source
 from repro.analysis.simpure import purity_source
 from repro.analysis.simrace import analyze_source
@@ -89,17 +88,6 @@ SEEDED_TREE = {
         "    def _finish(self, req):\n"
         "        req.done = True\n"
     ),
-    "heat_seed.py": (
-        'SIMHEAT_HOT_FUNCTIONS = ("System._complete", "System._retire")\n'
-        "\n"
-        "\n"
-        "class System:\n"
-        "    def _complete(self, req):\n"
-        "        self.sink(self.cfg.gpu.l2_latency)\n"
-        "\n"
-        "    def _retire(self, req):\n"
-        "        self.sink(self.cfg.gpu.l2_latency)  # simheat: disable=SH613\n"
-    ),
     "repro/sim/knobs.py": (
         "import os\n"
         "\n"
@@ -119,7 +107,6 @@ SEEDS = {
     "race": ("race_seed.py", "SR201", analyze_source),
     "flow": ("flow_seed.py", "SF301", flow_source),
     "purity": ("repro/sim/knobs.py", "SP401", purity_source),
-    "heat": ("heat_seed.py", "SH613", heat_source),
 }
 
 #: Trees with warnings and no errors.  SimFlow has no warning rule.
@@ -145,14 +132,6 @@ WARNING_TREES = {
         ),
         "repro/sim/system.py": "def run(cfg):\n    return cfg.scale\n",
     },
-    "heat": {"w.py": (
-        'SIMHEAT_HOT_FUNCTIONS = ("System._complete",)\n'
-        "\n"
-        "\n"
-        "class System:\n"
-        "    def _complete(self, req):\n"
-        "        self.sink([req.line, req.issue_time])\n"
-    )},
 }
 
 LIST_RULES = {
@@ -186,18 +165,6 @@ LIST_RULES = {
         "(over-keying)\n"
         "SP404  error    simulation mutates a keyed input object\n"
     ),
-    "heat": (
-        "SH600  error    module failed to parse\n"
-        "SH611  warning  per-event allocation in a hot handler "
-        "(container/closure/f-string)\n"
-        "SH612  warning  attribute chain re-resolved repeatedly inside an "
-        "event loop\n"
-        "SH613  error    per-event environment/config read in a hot "
-        "handler\n"
-        "SH614  error    pooled request stored into a container that "
-        "outlives completion\n"
-        "SH615  warning  logging/printing in a hot handler\n"
-    ),
 }
 
 
@@ -222,10 +189,10 @@ def seeded(tmp_path, monkeypatch):
 def test_registry_is_the_analyze_row_order():
     assert [(t.name, t.command) for t in _analyzers()] == [
         ("simlint", "lint"), ("simrace", "race"), ("simflow", "flow"),
-        ("simpure", "purity"), ("simheat", "heat"),
+        ("simpure", "purity"),
     ]
     assert [t.command for t in _analyzers() if t.confirm] == [
-        "race", "purity", "heat"]
+        "race", "purity"]
 
 
 def test_analyze_json_matches_the_recorded_document(seeded, capsys):
@@ -309,7 +276,7 @@ def test_rule_selection_ignores_case(command, seeded, capsys):
     assert capsys.readouterr() == lower
 
 
-@pytest.mark.parametrize("command", ["purity", "heat"])
+@pytest.mark.parametrize("command", ["purity"])
 @pytest.mark.parametrize("entry", ["nope", "P-2MM/Nope", "Nope/Pr40"])
 def test_bad_grid_entry_is_usage_error(command, entry, capsys):
     assert main([command, "--confirm", "--grid", entry]) == 2

@@ -57,16 +57,10 @@ class TestParser:
         assert args.scale == 0.1
         assert args.static is False
 
-    def test_heat_args(self):
-        args = build_parser().parse_args(
-            ["heat", "--confirm", "--grid", "P-2MM/Sh40+C10", "--scale", "0.1",
-             "--no-alloc"]
-        )
-        assert args.confirm is True
-        assert args.grid == ["P-2MM/Sh40+C10"]
-        assert args.scale == 0.1
-        assert args.no_alloc is True
-        assert args.static is False
+    def test_heat_is_an_unknown_command(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["heat", "--confirm"])
+        assert exc.value.code == 2
 
     def test_profile_json_and_alloc_flags(self):
         args = build_parser().parse_args(

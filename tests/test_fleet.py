@@ -12,6 +12,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing.connection import wait
@@ -365,3 +366,42 @@ def test_idle_worker_death_cold_starts_a_fresh_pool():
     # The dropped pool's other worker is gone too, so nothing is left for
     # the executor to wait on at interpreter exit.
     assert all(wait([w.sentinel], timeout=30) for w in workers)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fork start method unavailable",
+)
+def test_worker_death_is_seen_before_the_executor_notices():
+    shutdown_fleet()
+    fleet = get_fleet()
+    pool = fleet.acquire(2, mp_context="fork")
+    workers = list(pool._processes.values())
+    victim = workers[0]
+    # Pin the instant after a worker dies.  The executor's manager thread
+    # is held where it would mark the pool broken, and the victim is
+    # reaped here, as the manager's own join can: is_alive() then keeps
+    # reporting it running although its sentinel is readable.
+    manager = pool._executor_manager_thread
+    terminate_broken = manager.terminate_broken
+    release = threading.Event()
+
+    def held(cause):
+        release.wait(30)
+        terminate_broken(cause)
+
+    manager.terminate_broken = held
+    os.kill(victim.pid, signal.SIGKILL)
+    assert wait([victim.sentinel], timeout=30)
+    os.waitpid(victim.pid, 0)
+    try:
+        assert fleet.acquire(2, mp_context="fork") is not pool
+        assert fleet.cold_starts == 2
+        assert all(wait([w.sentinel], timeout=30) for w in workers)
+    finally:
+        # Never join the dropped pool: a survivor blocked on the call
+        # queue lock the victim held would hang shutdown(wait=True).
+        release.set()
+        for w in workers[1:]:
+            w.terminate()
+        fleet.invalidate()

@@ -74,7 +74,6 @@ class TestServerGroup:
         g[0].reserve(0.0)
         g[1].reserve(0.0)
         assert g.max_utilization(4.0) == pytest.approx(0.5)
-        assert g.mean_utilization(4.0) == pytest.approx(0.375)
 
     def test_total_served(self):
         g = ServerGroup("g", 3, service=1.0)
@@ -201,5 +200,5 @@ class TestServerGroupProperties:
             g[idx % count].reserve(now)
         for s in g:
             assert 0.0 <= s.utilization(horizon) <= 1.0
-        assert 0.0 <= g.mean_utilization(horizon) <= g.max_utilization(horizon) <= 1.0
+        assert 0.0 <= g.max_utilization(horizon) <= 1.0
         assert g.total_served() == len(reservations)

@@ -41,8 +41,8 @@ GOLDEN = {
     ("C-NN", "Pr40", 0.1):
         "3d7420f339d77165d82b1d6bfd1e37a47a83d9921a589796dfa392d6cd8538e4",
     # Decoupled clustered point (exercises the closure-mode fast homing
-    # and the clustered crossbar route twins); captured when SimHeat
-    # landed, after force_slow_path() verified fast == slow bit-exactly.
+    # and the clustered crossbar route twins); captured after
+    # force_slow_path() verified fast == slow bit-exactly.
     ("C-SP", "Sh40+C10", 0.1):
         "1ecc857dbe6d98ba36ad8122f1dce347a78e24c2679ddfc7938688327321a512",
 }
@@ -199,9 +199,9 @@ def test_fast_home_of_matches_home_of():
 
 # ------------------------------------------------- forced slow-path parity
 #
-# GPUSystem.force_slow_path() is SimHeat's differential-confirmer knob:
-# it unwires the hot path without touching SimConfig (so the cache key
-# and fingerprint inputs are untouched) and the slow twins carry the
+# GPUSystem.force_slow_path() is the reference side of every twin-path
+# test: it unwires the hot path without touching SimConfig (so the cache
+# key and fingerprint inputs are untouched) and the slow twins carry the
 # whole simulation.  Fast and forced-slow runs must be bit-identical for
 # every access kind the issue path dispatches on.
 
