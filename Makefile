@@ -3,7 +3,7 @@
 PYTHON ?= python
 SCALE ?= 1.0
 
-.PHONY: install test bench bench-quick figures characterize clean loc lint sanitize-test race flow purity analyze profile perf-smoke
+.PHONY: install test bench bench-quick figures characterize clean loc lint sanitize-test race purity analyze profile perf-smoke
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -41,11 +41,6 @@ race:
 	PYTHONPATH=src $(PYTHON) -m repro.cli race src/repro
 	PYTHONPATH=src $(PYTHON) -m repro.cli race --confirm --app P-2MM --design pr40 --scale 0.1 -k 3
 
-# SimFlow: static resource-flow liveness pass (leaks, stray releases,
-# acquire-order cycles) over the package.
-flow:
-	PYTHONPATH=src $(PYTHON) -m repro.cli flow --strict src/repro
-
 # SimPure: static cache-key & fingerprint soundness pass, then a
 # mutate-and-replay confirmation that every keyed field changes the key
 # and every excluded input leaves results bit-identical.
@@ -53,7 +48,7 @@ purity:
 	PYTHONPATH=src $(PYTHON) -m repro.cli purity --strict src/repro
 	PYTHONPATH=src $(PYTHON) -m repro.cli purity --confirm --scale 0.1
 
-# All four static analyzers (SimLint + SimRace + SimFlow + SimPure) with
+# All three static analyzers (SimLint + SimRace + SimPure) with
 # a unified summary table and combined exit code, then the cheap dynamic
 # confirmation (SimPure mutate-and-replay).
 analyze:

@@ -1,8 +1,7 @@
 """Metrics, classification and tabulation helpers for the experiments,
 the SimSanitizer resource ledger (:mod:`repro.analysis.sanitizer`), and
-the four static analyzers: SimLint (:mod:`repro.analysis.simlint`),
-SimRace (:mod:`repro.analysis.simrace`), SimFlow
-(:mod:`repro.analysis.simflow`) and SimPure
+the three static analyzers: SimLint (:mod:`repro.analysis.simlint`),
+SimRace (:mod:`repro.analysis.simrace`) and SimPure
 (:mod:`repro.analysis.simpure`), built on the shared plumbing in
 :mod:`repro.analysis.core`.
 

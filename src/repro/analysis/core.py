@@ -1,14 +1,14 @@
-"""The plumbing shared by the four static analyzers.
+"""The plumbing shared by the three static analyzers.
 
-SimLint, SimRace, SimFlow and SimPure differ in their rules and (for two
-of them) a dynamic confirmer.  Everything else lives here:
+SimLint, SimRace and SimPure differ in their rules and (for two of them)
+a dynamic confirmer.  Everything else lives here:
 :class:`Severity`, the :class:`Rule` and :class:`Finding` records, the
 per-module :class:`ModuleContext` (import aliases, parent links and the
 ``# sim<tool>: disable=RULE`` suppression comments), rule selection, the
 path-scope test, the ``--list-rules`` table, parsing with a syntax-error
 finding, the file walk and the one order findings are reported in.
 
-``repro lint|race|flow|purity`` and ``repro analyze`` drive the
+``repro lint|race|purity`` and ``repro analyze`` drive the
 analyzers from one registry in :mod:`repro.cli`; ``docs/analysis.md``
 ("Shared core") shows how a rule set plugs in.  Nothing on the simulator
 import path imports this module.

@@ -18,9 +18,9 @@ invariants hold:
   same simulation is stored and recomputed many times under different
   keys (pure waste at sweep scale).
 
-SimPure machine-checks both directions, completing the analysis tripod
-(SimLint / SimRace / SimFlow) into a quadripod.  Like its siblings it is
-a purely static AST pass paired with a dynamic confirmer.
+SimPure machine-checks both directions, alongside SimLint and SimRace.
+Like SimRace it is a purely static AST pass paired with a dynamic
+confirmer.
 
 Static rules (``# simpure: disable=SPxxx`` suppresses on the line):
 

@@ -92,7 +92,6 @@ __all__ = [
     "diff_fingerprints",
     "shuffle_outcomes",
     "method_aliases",
-    "single_assignment_defs",
 ]
 
 RACE_RULES: List[Rule] = [
@@ -251,7 +250,7 @@ def method_aliases(
     func: ast.AST, defs: Optional[Dict[str, ast.AST]] = None
 ) -> Dict[str, str]:
     """Local-name -> owning ``self`` attribute alias map for one method
-    (shared by SimRace and SimFlow)."""
+    (shared by SimRace and SimPure)."""
     if defs is None:
         defs = single_assignment_defs(func)
     aliases: Dict[str, str] = {}

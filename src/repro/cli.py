@@ -13,10 +13,9 @@ The subcommands cover the library's main entry points::
     repro lint src/repro                       # SimLint static analysis
     repro race --static src/repro              # SimRace ordering-hazard scan
     repro race --confirm --app P-2MM -k 5      # SimRace shadow-shuffle replay
-    repro flow src/repro                       # SimFlow liveness analysis
     repro purity src/repro                     # SimPure key-soundness scan
     repro purity --confirm --scale 0.1         # mutate-and-replay confirmation
-    repro analyze src/repro                    # all four analyzers, one table
+    repro analyze src/repro                    # all three analyzers, one table
     repro analyze --json src/repro             # machine-readable CI artifact
 
 Installed as the ``repro`` console script; also runnable as
@@ -301,9 +300,9 @@ class _Analyzer(NamedTuple):
 
 
 def _analyzers() -> Tuple[_Analyzer, ...]:
-    """The four analyzers in `repro analyze` row order.  Built inside the
+    """The three analyzers in `repro analyze` row order.  Built inside the
     analyzer commands only, so no simulator command imports them."""
-    from repro.analysis import simflow, simlint, simpure, simrace
+    from repro.analysis import simlint, simpure, simrace
 
     return (
         _Analyzer("simlint", "lint", "determinism/resource hygiene",
@@ -313,8 +312,6 @@ def _analyzers() -> Tuple[_Analyzer, ...]:
                   lambda args: simrace.confirm_races(
                       get_app(args.app), args.design,
                       SimConfig(scale=args.scale), k=args.k)),
-        _Analyzer("simflow", "flow", "resource-flow liveness",
-                  simflow.FLOW_RULES, simflow.run_flow),
         _Analyzer("simpure", "purity", "cache-key & fingerprint soundness",
                   simpure.PURITY_RULES, simpure.run_purity,
                   lambda args: simpure.confirm_purity(
@@ -372,7 +369,7 @@ def _static_pass(tool: _Analyzer, paths: List[str],
 
 
 def _cmd_analyzer(args) -> int:
-    """``repro lint|race|flow|purity``: the static pass, and
+    """``repro lint|race|purity``: the static pass, and
     the dynamic confirmer when ``--confirm`` asks for it."""
     from repro.analysis.core import rule_table
 
@@ -571,11 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "--confirm")),
         ])
     _analyzer_parser(
-        sub, "flow",
-        "SimFlow: static resource-flow liveness analysis "
-        "(leaks, stray releases, acquire-order cycles)",
-        "SF rule ID", "SimFlow rules")
-    _analyzer_parser(
         sub, "purity",
         "SimPure: cache-key & fingerprint soundness "
         "(static AST pass and/or mutate-and-replay confirmation)",
@@ -594,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "analyze",
-        help="run all four static analyzers (lint + race + flow + purity) "
+        help="run all three static analyzers (lint + race + purity) "
              "with a unified summary table and combined exit code",
     )
     p.add_argument("paths", nargs="*",

@@ -43,9 +43,9 @@ time**, never per event:
   (``attach_sanitizer(None)``) restores the fast one.
 * :meth:`run` and :meth:`run_until` both funnel into :meth:`_drain`, the
   single instrumentation-dispatch point.  It picks exactly one drain
-  loop (shuffle > watchdog > profiler > batched > plain) so ``run_until``
-  gets the same instrumentation as ``run`` and the event-budget check
-  lives in one place instead of five copy-pasted loops.
+  loop (instrumented > batched > plain) so ``run_until`` gets the same
+  instrumentation as ``run``.  The instrumented loop serves every
+  attached instrument at once, so attaching one never silences another.
 * Every drain loop localizes the heap, the bucket dict and the event
   counter and flushes the counter back in a ``finally`` — exceptions
   (budget, stall) never lose the count, and a bucket interrupted
@@ -108,7 +108,7 @@ class Engine:
         # one batch -> occurrence count.  Only populated in shuffle mode.
         self.batch_pairs: Dict[Tuple[str, str], int] = {}
         # Stall watchdog (see repro.sim.watchdog): observation-only
-        # progress monitor; _drain dispatches to _drain_watched when attached.
+        # progress monitor, fed by _drain_instrumented when attached.
         self._watchdog = None
         # Per-handler event profiler (see repro.sim.profiler).
         self._profiler = None
@@ -141,7 +141,7 @@ class Engine:
     def attach_profiler(self, profiler) -> None:
         """Attach a :class:`repro.sim.profiler.EventProfiler`.
 
-        The profiled drain loop brackets every callback with the
+        The instrumented drain loop brackets every callback with the
         profiler's clock and accumulates per-handler counts/self-time.
         Event order (and therefore every simulation result) is identical
         to the plain loop.  Pass ``None`` to detach.
@@ -320,22 +320,20 @@ class Engine:
     def _drain(self, deadline: float) -> float:
         """Single instrumentation-dispatch point for all drain loops.
 
-        Exactly one loop runs: shadow shuffle wins over the watchdog
-        (shuffle replays are short diagnostic runs), the watchdog over
-        the profiler, the profiler over batched dispatch (instrumented
-        runs want per-event attribution, and results are bit-identical
-        either way), and the branch-free plain loop is the default.
-        The drain flag is maintained in a ``finally`` so every exit path
-        (drain, deadline stop, budget error, stall error) agrees: an
-        empty heap IS a full drain, a non-empty one is not.
+        Exactly one loop runs.  Any attached instrument (shadow shuffle,
+        watchdog, profiler) selects the instrumented loop, which serves
+        all of them at once; instrumented runs want per-event
+        observation, and results are bit-identical either way.  Otherwise
+        batched dispatch runs when twins are registered, and the
+        branch-free plain loop is the default.  The drain flag is
+        maintained in a ``finally`` so every exit path (drain, deadline
+        stop, budget error, stall error) agrees: an empty heap IS a full
+        drain, a non-empty one is not.
         """
         try:
-            if self._shuffle_rng is not None:
-                self._drain_shuffled(deadline)
-            elif self._watchdog is not None:
-                self._drain_watched(deadline)
-            elif self._profiler is not None:
-                self._drain_profiled(deadline)
+            if (self._shuffle_rng is not None or self._watchdog is not None
+                    or self._profiler is not None):
+                self._drain_instrumented(deadline)
             elif self._batch_handlers:
                 self._drain_batched(deadline)
             else:
@@ -482,18 +480,38 @@ class Engine:
             if i < size:
                 self._requeue_remainder(key, bucket, i)
 
-    def _drain_watched(self, deadline: float) -> None:
-        """Drain the queue with the stall watchdog observing every event.
+    def _drain_instrumented(self, deadline: float) -> None:
+        """Drain the queue with every attached instrument observing it,
+        one ``is not None`` branch each, so any combination sees the run.
 
-        Identical event order to the plain loop — the watchdog only counts
-        (time advances reset the same-cycle counter; completions reset
-        the window via :meth:`~repro.sim.watchdog.StallWatchdog.progress`)
-        and raises ``SimStallError`` when a livelock signature appears.
+        * Shadow shuffle permutes each bucket's handler blocks before it
+          runs (a bucket's FIFO order is the accident being probed).  The
+          permuted bucket stays flat, so an interrupted drain re-queues
+          its tail like every other loop.
+        * The stall watchdog sees every time advance and every event, and
+          raises ``SimStallError`` on a livelock signature.
+        * The profiler times each callback (with ``trace_alloc``, also its
+          tracemalloc delta; the caller owns tracemalloc start/stop).  The
+          watchdog's bookkeeping stays outside the timed region.
+
+        Bar the shuffle, event order is the plain loop's, so results stay
+        bit-identical to uninstrumented runs.
         """
         heap = self._heap
         buckets = self._buckets
         pop = _heappop
+        shuffle = self._shuffle_rng is not None
         watchdog = self._watchdog
+        prof = self._profiler
+        if prof is not None:
+            from tracemalloc import get_traced_memory as traced
+
+            counts = prof.counts
+            self_time = prof.self_time
+            alloc_bytes = prof.alloc_bytes
+            trace_alloc = prof.trace_alloc
+            clock = prof.clock
+            t_enter = clock()
         budget = self.max_events
         n = self.events_processed
         key = None
@@ -504,8 +522,10 @@ class Engine:
                 key = heap[0]
                 bucket = buckets.pop(key)
                 pop(heap)
+                if shuffle and len(bucket) > 2:
+                    bucket = self._permute_batch(bucket)
                 time = key[0]
-                if time > self.now:
+                if watchdog is not None and time > self.now:
                     watchdog.advanced(time)
                 self.now = time
                 i = 0
@@ -514,123 +534,40 @@ class Engine:
                     callback = bucket[i]
                     payload = bucket[i + 1]
                     i += 2
-                    callback(payload)
+                    if prof is None:
+                        callback(payload)
+                    else:
+                        fn = getattr(callback, "__func__", callback)
+                        if trace_alloc:
+                            a0 = traced()[0]
+                            t0 = clock()
+                            callback(payload)
+                            dt = clock() - t0
+                            alloc_bytes[fn] = (
+                                alloc_bytes.get(fn, 0) + traced()[0] - a0)
+                        else:
+                            t0 = clock()
+                            callback(payload)
+                            dt = clock() - t0
+                        if fn in counts:
+                            counts[fn] += 1
+                            self_time[fn] += dt
+                        else:
+                            counts[fn] = 1
+                            self_time[fn] = dt
                     n += 1
-                    watchdog.event(time)
+                    if watchdog is not None:
+                        watchdog.event(time)
                     if n > budget:
                         raise self._budget_error()
         finally:
-            self.events_processed = n
-            if i < size:
-                self._requeue_remainder(key, bucket, i)
-
-    def _drain_profiled(self, deadline: float) -> None:
-        """Drain the queue timing every callback with the profiler clock.
-
-        With ``profiler.trace_alloc`` set, the traced-memory counter of
-        :mod:`tracemalloc` is also sampled around each callback and the
-        net bytes are attributed to its handler; the caller
-        (``profile_simulation``) owns tracemalloc start/stop.  Same event
-        order as the plain loop; only bookkeeping is added, so results
-        stay bit-identical to uninstrumented runs.
-        """
-        from tracemalloc import get_traced_memory as traced
-
-        heap = self._heap
-        buckets = self._buckets
-        pop = _heappop
-        prof = self._profiler
-        counts = prof.counts
-        self_time = prof.self_time
-        alloc_bytes = prof.alloc_bytes
-        trace_alloc = prof.trace_alloc
-        clock = prof.clock
-        budget = self.max_events
-        n = self.events_processed
-        key = None
-        bucket: list = []
-        i = size = 0
-        t_enter = clock()
-        try:
-            while heap and heap[0][0] <= deadline:
-                key = heap[0]
-                bucket = buckets.pop(key)
-                pop(heap)
-                self.now = key[0]
-                i = 0
-                size = len(bucket)
-                while i < size:
-                    callback = bucket[i]
-                    payload = bucket[i + 1]
-                    i += 2
-                    fn = getattr(callback, "__func__", callback)
-                    if trace_alloc:
-                        a0 = traced()[0]
-                        t0 = clock()
-                        callback(payload)
-                        dt = clock() - t0
-                        alloc_bytes[fn] = (
-                            alloc_bytes.get(fn, 0) + traced()[0] - a0)
-                    else:
-                        t0 = clock()
-                        callback(payload)
-                        dt = clock() - t0
-                    if fn in counts:
-                        counts[fn] += 1
-                        self_time[fn] += dt
-                    else:
-                        counts[fn] = 1
-                        self_time[fn] = dt
-                    n += 1
-                    if n > budget:
-                        raise self._budget_error()
-        finally:
-            prof.wall_time += clock() - t_enter
+            if prof is not None:
+                prof.wall_time += clock() - t_enter
             self.events_processed = n
             if i < size:
                 self._requeue_remainder(key, bucket, i)
 
     # ------------------------------------------------------- shadow shuffle
-
-    def _drain_shuffled(self, deadline: float) -> None:
-        """Drain the queue with same-(time, priority) handler blocks
-        deterministically permuted (SimRace dynamic confirmer).
-
-        A bucket *is* the unordered batch: its FIFO order is an accident
-        of schedule-call order, which is exactly what the permutation is
-        probing.  The permuted bucket stays flat, so an interrupted drain
-        re-queues its unprocessed tail like every other loop.
-        """
-        heap = self._heap
-        buckets = self._buckets
-        pop = _heappop
-        budget = self.max_events
-        n = self.events_processed
-        key = None
-        bucket: list = []
-        i = size = 0
-        try:
-            while heap and heap[0][0] <= deadline:
-                key = heap[0]
-                bucket = buckets.pop(key)
-                pop(heap)
-                if len(bucket) > 2:
-                    bucket = self._permute_batch(bucket)
-                self.now = key[0]
-                i = 0
-                size = len(bucket)
-                while i < size:
-                    callback = bucket[i]
-                    payload = bucket[i + 1]
-                    i += 2
-                    callback(payload)
-                    n += 1
-                    if n > budget:
-                        raise self._budget_error()
-        finally:
-            self.events_processed = n
-            if i < size:
-                self._requeue_remainder(key, bucket, i)
 
     def _permute_batch(self, bucket: list) -> list:
         """Permute the distinct-handler blocks of one flat same-time

@@ -192,8 +192,8 @@ class GPUSystem:
         self._fast = self._ledger is None and not self._force_slow
         # Captures the sanitizer-checked wrapper when a ledger swapped it
         # in.  Named ``schedule`` (not ``_schedule``) on purpose: the
-        # static analyzers (SimFlow/SimRace/SimLint) recognize scheduling
-        # by attribute name, and the prebound hop must stay visible to
+        # static analyzers (SimRace/SimLint) recognize scheduling by
+        # attribute name, and the prebound hop must stay visible to
         # their handler-reachability closures.
         self.schedule = self.engine.schedule
         amap = self.amap

@@ -65,10 +65,16 @@ def audit(system) -> List[str]:
             f"core {core.core_id} has {core.active_wavefronts} live wavefronts",
         )
 
-    # Node queues drained (finite-Q1 mode).
-    if system._node_waiters is not None:
+    # Node queues drained and every Q1 credit back home (finite-Q1 mode):
+    # a leaked credit starves the node's later requests, and a double
+    # release silently deepens its queue.
+    if system._node_credits is not None:
+        depth = system.cfg.dcl1_queue_depth
         for n, waiters in enumerate(system._node_waiters):
             check(not waiters, f"DC-L1 node {n} still has parked requests")
+        for n, credits in enumerate(system._node_credits):
+            check(credits == depth,
+                  f"DC-L1 node {n} holds {credits} Q1 credits at drain, not {depth}")
 
     # MSHRs drained.
     for i, mshr in enumerate(system.l1_mshrs):

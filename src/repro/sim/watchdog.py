@@ -1,12 +1,10 @@
 """Runtime stall watchdog — liveness diagnosis for wedged simulations.
 
-SimFlow (:mod:`repro.analysis.simflow`) proves liveness properties the
-AST can show; this module diagnoses the ones it cannot.  A leaked Q1
-credit, a camped MSHR or a circular wait does not crash a discrete-event
-simulation — it *wedges* it: the event queue drains (or spins at one
-cycle) while requests are still in flight, and the run either dies as an
-opaque ``outstanding != 0`` count mismatch or burns the whole event
-budget.  With the watchdog attached (``SimConfig(watchdog=True)``,
+A leaked Q1 credit, a camped MSHR or a circular wait does not crash a
+discrete-event simulation — it *wedges* it: the event queue drains (or
+spins at one cycle) while requests are still in flight, and the run
+either dies as an opaque ``outstanding != 0`` count mismatch or burns the
+whole event budget.  With the watchdog attached (``SimConfig(watchdog=True)``,
 ``repro simulate --watchdog``, or ``REPRO_WATCHDOG=1``), a wedged run
 raises :class:`SimStallError` carrying a :class:`WaitGraph` — who holds
 what, who waits on what, and the oldest in-flight request's hop trace —

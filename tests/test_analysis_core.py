@@ -1,5 +1,5 @@
 """The analyzer core (repro.analysis.core) and the one CLI driver behind
-``repro lint|race|flow|purity`` and ``repro analyze``.
+``repro lint|race|purity`` and ``repro analyze``.
 
 The expected ``repro analyze --json`` document (tests/data/
 analyze_seeded.json) and the ``--list-rules`` tables below were recorded
@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.core import ModuleContext
-from repro.analysis.simflow import flow_source
 from repro.analysis.simlint import lint_source
 from repro.analysis.simpure import purity_source
 from repro.analysis.simrace import analyze_source
@@ -64,30 +63,6 @@ SEEDED_TREE = {
         "    def _pop(self, req):\n"
         "        self.queue.pop()\n"
     ),
-    "flow_seed.py": (
-        "class Node:\n"
-        "    def start(self, req):\n"
-        "        self.engine.schedule(0.0, self._grab, req)\n"
-        "\n"
-        "    def _grab(self, req):\n"
-        "        self.mshrs.allocate(req.line, req)\n"
-        "        self.engine.schedule(1.0, self._finish, req)\n"
-        "\n"
-        "    def _finish(self, req):\n"
-        "        req.done = True\n"
-        "\n"
-        "\n"
-        "class QuietNode:\n"
-        "    def start(self, req):\n"
-        "        self.engine.schedule(0.0, self._grab, req)\n"
-        "\n"
-        "    def _grab(self, req):\n"
-        "        self.mshrs.allocate(req.line, req)  # simflow: disable=SF301\n"
-        "        self.engine.schedule(1.0, self._finish, req)\n"
-        "\n"
-        "    def _finish(self, req):\n"
-        "        req.done = True\n"
-    ),
     "repro/sim/knobs.py": (
         "import os\n"
         "\n"
@@ -105,11 +80,10 @@ SEEDED_TREE = {
 SEEDS = {
     "lint": ("lint_seed.py", "SL101", lint_source),
     "race": ("race_seed.py", "SR201", analyze_source),
-    "flow": ("flow_seed.py", "SF301", flow_source),
     "purity": ("repro/sim/knobs.py", "SP401", purity_source),
 }
 
-#: Trees with warnings and no errors.  SimFlow has no warning rule.
+#: Trees with warnings and no errors.
 WARNING_TREES = {
     "lint": {"w.py": "for x in set(items):\n    x\n"},
     "race": {"w.py": (
@@ -151,13 +125,6 @@ LIST_RULES = {
         "SR203  warning  now-scheduled handler writes state written by "
         "other handlers\n"
     ),
-    "flow": (
-        "SF301  error    resource acquired without a reachable release "
-        "(leak)\n"
-        "SF302  error    release without acquire / double release\n"
-        "SF303  error    cycle in the inter-handler acquire-order graph "
-        "(deadlock potential)\n"
-    ),
     "purity": (
         "SP401  error    sim-core read of an input that bypasses the cache "
         "key\n"
@@ -188,8 +155,7 @@ def seeded(tmp_path, monkeypatch):
 
 def test_registry_is_the_analyze_row_order():
     assert [(t.name, t.command) for t in _analyzers()] == [
-        ("simlint", "lint"), ("simrace", "race"), ("simflow", "flow"),
-        ("simpure", "purity"),
+        ("simlint", "lint"), ("simrace", "race"), ("simpure", "purity"),
     ]
     assert [t.command for t in _analyzers() if t.confirm] == [
         "race", "purity"]
@@ -293,14 +259,14 @@ def test_suppression_is_per_marker_and_case_blind():
     source = (
         "a = 1  # simrace: disable=sr201\n"
         "b = 2  # simlint: disable=all\n"
-        "c = 3  # simlint: disable=SL101  # simflow: disable=SF301, SF302\n"
+        "c = 3  # simlint: disable=SL101  # simpure: disable=SP401, SP404\n"
     )
     ctx = ModuleContext("m.py", source, ast.parse(source), "simrace")
     assert ctx.suppressed("SR201", 1)
     assert not ctx.suppressed("SR202", 1)
     assert not ctx.suppressed("SR201", 2, 3, 99)
-    flow = ModuleContext("m.py", source, ast.parse(source), "simflow")
-    assert flow.suppressed("SF302", 3) and not flow.suppressed("SF301", 1, 2)
+    pure = ModuleContext("m.py", source, ast.parse(source), "simpure")
+    assert pure.suppressed("SP404", 3) and not pure.suppressed("SP401", 1, 2)
     lint = ModuleContext("m.py", source, ast.parse(source), "simlint")
     assert lint.suppressed("SL105", 2) and lint.suppressed("SL101", 3)
 

@@ -313,31 +313,45 @@ def test_run_until_feeds_the_shuffle_rng():
     assert len(eng.batch_pairs) == 1
 
 
-DRAIN_LOOPS = ["plain", "watchdog", "profiler", "shuffle"]
+DRAIN_LOOPS = ["plain", "batched", "watchdog", "profiler", "shuffle", "all"]
 
 
 def _engine(instrument, **kwargs):
-    """An engine that drains through the named loop."""
-    eng = Engine(shuffle_seed=3 if instrument == "shuffle" else None, **kwargs)
-    if instrument == "watchdog":
+    """An engine that drains through the named loop ("all" attaches the
+    shuffle seed, the watchdog and the profiler together)."""
+    shuffled = instrument in ("shuffle", "all")
+    eng = Engine(shuffle_seed=3 if shuffled else None, **kwargs)
+    if instrument in ("watchdog", "all"):
         eng.attach_watchdog(_CountingWatchdog())
-    elif instrument == "profiler":
+    if instrument in ("profiler", "all"):
         from repro.sim.profiler import EventProfiler
 
         eng.attach_profiler(EventProfiler())
     return eng
 
 
+def _twinned(eng, instrument, handler):
+    """``handler``, given a batch twin under the "batched" instrument that
+    calls it on each payload of its run."""
+    if instrument == "batched":
+        def twin(bucket, start, stop):
+            for payload in bucket[start + 1:stop:2]:
+                handler(payload)
+
+        eng.register_batch_handler(handler, twin)
+    return handler
+
+
 @pytest.mark.parametrize("instrument", DRAIN_LOOPS)
 def test_event_budget_is_enforced_in_every_drain_loop(instrument):
-    """One budget check, one message, all four loops (including under a
+    """One budget check, one message, every loop (including under a
     deadline — run_until used to carry its own diverging copy)."""
     eng = _engine(instrument, max_events=50)
 
     def forever(_):
         eng.schedule_in(1.0, forever, None)
 
-    eng.schedule(0.0, forever, None)
+    eng.schedule(0.0, _twinned(eng, instrument, forever), None)
     with pytest.raises(RuntimeError, match="event budget"):
         eng.run_until(1e9)
     assert eng.events_processed == 51  # counter survives the raise
@@ -361,7 +375,7 @@ def test_raising_callback_requeues_the_rest_of_its_bucket(instrument):
         return call
 
     for tag in range(6):
-        eng.schedule(1.0, handler(tag), None)
+        eng.schedule(1.0, _twinned(eng, instrument, handler(tag)), None)
     with pytest.raises(ValueError, match="boom"):
         eng.run()
     eng.run()
@@ -396,3 +410,21 @@ def test_instrumented_drains_preserve_event_order():
     plain = trace(Engine)
     assert trace(watched) == plain
     assert trace(profiled) == plain
+
+
+def test_every_attached_instrument_sees_every_event():
+    """Attaching one instrument must not silence another: the watchdog
+    and the profiler each count every event of a run they share."""
+    from repro.sim.profiler import EventProfiler
+
+    eng = Engine()
+    wd = _CountingWatchdog()
+    prof = EventProfiler()
+    eng.attach_watchdog(wd)
+    eng.attach_profiler(prof)
+    for t in (1.0, 1.0, 2.0, 3.0, 3.0, 3.0):
+        eng.schedule(t, lambda _: None, None)
+    eng.run()
+    assert eng.events_processed == 6
+    assert wd.events == 6 and wd.advances == 3
+    assert prof.total_events == 6

@@ -506,7 +506,7 @@ def test_cli_analyze_json_artifact(tmp_path, capsys):
     doc = json.loads(out)  # stdout is exactly one JSON document
     assert doc["exit_code"] == 1
     tools = {t["tool"]: t for t in doc["tools"]}
-    assert set(tools) == {"simlint", "simrace", "simflow", "simpure"}
+    assert set(tools) == {"simlint", "simrace", "simpure"}
     assert tools["simpure"]["status"] == "fail"
     finding = tools["simpure"]["findings"][0]
     assert finding["rule"] == "SP401"

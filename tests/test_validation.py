@@ -115,6 +115,17 @@ class TestAuditFailurePaths:
         findings = audit(system)
         assert any("parked requests" in f for f in findings)
 
+    def test_unreturned_q1_credit_flagged(self, tiny_config, shared_profile):
+        from repro.sim.config import SimConfig
+
+        cfg = SimConfig(gpu=tiny_config.gpu, scale=1.0, dcl1_queue_depth=4)
+        system = GPUSystem(shared_profile, DesignSpec.clustered(8, 4), cfg)
+        system.run()
+        assert audit(system) == []
+        system._node_credits[0] += 1  # a double release leaves one extra
+        assert audit(system) == [
+            "DC-L1 node 0 holds 5 Q1 credits at drain, not 4"]
+
     def test_write_evict_imbalance_flagged(self, finished):
         finished.result.l1.write_evicts += 1
         findings = audit(finished)
