@@ -23,11 +23,10 @@ bench-out:
 bench-quick:
 	REPRO_SCALE=0.25 $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Static analysis: SimLint always runs (no dependencies beyond the repo);
-# ruff/mypy run when installed (pip install -e .[dev]) and are skipped
-# with a notice otherwise, so the target works in minimal containers.
+# Static analysis: ruff and mypy run when installed (pip install -e .[dev])
+# and are skipped with a notice otherwise, so the target works in minimal
+# containers.  The simulator's own static analyzers run under `make analyze`.
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro.cli lint src/repro
 	@if $(PYTHON) -c "import ruff" 2>/dev/null; then \
 		$(PYTHON) -m ruff check src tests; \
 	else echo "ruff not installed - skipping (pip install -e .[dev])"; fi
@@ -48,7 +47,7 @@ purity:
 	PYTHONPATH=src $(PYTHON) -m repro.cli purity --strict src/repro
 	PYTHONPATH=src $(PYTHON) -m repro.cli purity --confirm --scale 0.1
 
-# All three static analyzers (SimLint + SimRace + SimPure) with
+# Both static analyzers (SimRace + SimPure) with
 # a unified summary table and combined exit code, then the cheap dynamic
 # confirmation (SimPure mutate-and-replay).
 analyze:

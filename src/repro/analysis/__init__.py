@@ -1,8 +1,7 @@
 """Metrics, classification and tabulation helpers for the experiments,
 the SimSanitizer resource ledger (:mod:`repro.analysis.sanitizer`), and
-the three static analyzers: SimLint (:mod:`repro.analysis.simlint`),
-SimRace (:mod:`repro.analysis.simrace`) and SimPure
-(:mod:`repro.analysis.simpure`), built on the shared plumbing in
+the two static analyzers: SimRace (:mod:`repro.analysis.simrace`) and
+SimPure (:mod:`repro.analysis.simpure`), built on the shared plumbing in
 :mod:`repro.analysis.core`.
 
 The analyzers are imported from their submodules and are not re-exported
@@ -11,7 +10,7 @@ See ``docs/analysis.md``."""
 
 from repro.analysis.classify import CharacterizationRow, classify, is_replication_sensitive
 from repro.analysis.metrics import amean, geomean, normalize, s_curve
-from repro.analysis.sanitizer import ResourceLedger, SanitizerError, sanitize_from_env
+from repro.analysis.sanitizer import ResourceLedger, SanitizerError
 from repro.analysis.tables import format_table, percent, ratio
 
 __all__ = [
@@ -27,5 +26,4 @@ __all__ = [
     "ratio",
     "ResourceLedger",
     "SanitizerError",
-    "sanitize_from_env",
 ]

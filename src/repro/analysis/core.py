@@ -1,14 +1,14 @@
-"""The plumbing shared by the three static analyzers.
+"""The plumbing shared by the two static analyzers.
 
-SimLint, SimRace and SimPure differ in their rules and (for two of them)
-a dynamic confirmer.  Everything else lives here:
+SimRace and SimPure differ in their rules and their dynamic confirmers.
+Everything else lives here:
 :class:`Severity`, the :class:`Rule` and :class:`Finding` records, the
 per-module :class:`ModuleContext` (import aliases, parent links and the
 ``# sim<tool>: disable=RULE`` suppression comments), rule selection, the
 path-scope test, the ``--list-rules`` table, parsing with a syntax-error
 finding, the file walk and the one order findings are reported in.
 
-``repro lint|race|purity`` and ``repro analyze`` drive the
+``repro race|purity`` and ``repro analyze`` drive the
 analyzers from one registry in :mod:`repro.cli`; ``docs/analysis.md``
 ("Shared core") shows how a rule set plugs in.  Nothing on the simulator
 import path imports this module.
@@ -63,9 +63,8 @@ class Finding:
 F = TypeVar("F", bound=Finding)
 
 
-def rule_table(rules: Iterable) -> List[Tuple[str, str, str]]:
-    """(rule_id, severity, title) for every rule; accepts :class:`Rule`
-    tuples or any objects with those three attributes."""
+def rule_table(rules: Iterable[Rule]) -> List[Tuple[str, str, str]]:
+    """(rule_id, severity, title) for every rule."""
     return [(r.rule_id, r.severity.value, r.title) for r in rules]
 
 
@@ -93,8 +92,8 @@ def sort_findings(findings: Iterable[F]) -> List[F]:
 class ModuleContext:
     """Per-module facts shared by every rule: source lines for suppression
     comments, import aliases for call resolution, parent links for scope
-    checks.  ``marker`` is the tool's suppression prefix (``simlint``,
-    ``simrace``, ...)."""
+    checks.  ``marker`` is the tool's suppression prefix (``simrace`` or
+    ``simpure``)."""
 
     def __init__(self, path: str, source: str, tree: ast.Module, marker: str):
         self.path = path

@@ -20,13 +20,13 @@ This module is dependency-free (no imports from :mod:`repro.sim`) so the
 engine and cache layers can hold a ledger without import cycles.
 
 See ``docs/analysis.md`` for the full story, and
-:mod:`repro.analysis.simlint` for the static (AST) half of the analysis
-subsystem.
+:mod:`repro.analysis.simrace` and :mod:`repro.analysis.simpure` for the
+static (AST) half of the analysis subsystem.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: A reservation that pushes a port's ``next_free`` more than this many
 #: cycles past "now" is considered runaway (a camped/never-released port).
@@ -35,21 +35,6 @@ RUNAWAY_RESERVATION_CYCLES = 1e9
 
 class SanitizerError(RuntimeError):
     """An invariant violation caught by the SimSanitizer."""
-
-
-def sanitize_from_env() -> bool:
-    """True when the ``REPRO_SANITIZE`` environment variable enables the
-    sanitizer (any value other than empty or ``0``).
-
-    Kept as a compatibility alias: the environment is resolved by
-    :func:`repro.sim.config.sanitize_env_enabled` at :class:`SimConfig`
-    construction, never by the sim core at run time (SimPure SP401).
-    The import is lazy — the analysis package never imports the sim
-    layer at module scope.
-    """
-    from repro.sim.config import sanitize_env_enabled
-
-    return sanitize_env_enabled()
 
 
 def describe_owner(owner: Any) -> str:
@@ -238,11 +223,3 @@ class ResourceLedger:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return self.summary()
-
-
-def merge_findings(*groups: Iterable[str]) -> List[str]:
-    """Flatten several finding lists (ledger + live audit) into one."""
-    merged: List[str] = []
-    for group in groups:
-        merged.extend(group)
-    return merged

@@ -12,15 +12,15 @@ invariants hold:
 * **completeness** — everything the simulator core reads that can change
   a result bit is *in* the key.  A sim-core read of an undeclared input
   (an environment variable, a mutable module global, a runtime class
-  attribute) silently serves stale results once the input changes.
+  attribute, the per-process hash seed that orders a set) silently
+  serves stale results once the input changes.
 * **minimality** — everything in the key is actually read.  A keyed
   field the simulator never looks at fragments the shared cache: the
   same simulation is stored and recomputed many times under different
   keys (pure waste at sweep scale).
 
-SimPure machine-checks both directions, alongside SimLint and SimRace.
-Like SimRace it is a purely static AST pass paired with a dynamic
-confirmer.
+SimPure machine-checks both directions, alongside SimRace.  Like SimRace
+it is a purely static AST pass paired with a dynamic confirmer.
 
 Static rules (``# simpure: disable=SPxxx`` suppresses on the line):
 
@@ -28,22 +28,21 @@ Static rules (``# simpure: disable=SPxxx`` suppresses on the line):
 SP401    error    sim-core read of an input that bypasses the cache key
                   (env var outside a declared ``*_from_env`` /
                   ``*_env_enabled`` resolver, ``global`` declaration,
-                  runtime class-attribute assignment)
+                  runtime class-attribute assignment, iteration over a
+                  set, whose order follows the per-process hash seed)
 SP402    warning  keyed field never read anywhere in the scanned tree
                   (over-keying: avoidable distributed-cache misses)
-SP404    error    sim-core mutation of a profile/spec/config/gpu input
-                  object (cache poisoning, run-order dependence)
 =======  =======  ==========================================================
 
 The *sim core* is the set of modules that execute between a config triple
 and a :class:`SimResult`: ``repro/sim``, ``repro/cache``, ``repro/noc``,
 ``repro/mem``, ``repro/gpu``, ``repro/core`` and ``repro/workloads``.
 The CLI, experiment drivers and the analysis tools themselves construct
-configs and *may* read the environment; the sim core may not (SP401) and
-may not mutate its inputs (SP404).  SP402 counts reads over the whole
-scanned tree (a field read only by the power model is still a read) and
-only runs when the scan includes ``sim/system.py`` — on a partial scan
-"never read" would be vacuously true.
+configs and *may* read the environment; the sim core may not (SP401).
+SP402 counts reads over the whole scanned tree (a field read only by the
+power model is still a read) and only runs when the scan includes
+``sim/system.py`` — on a partial scan "never read" would be vacuously
+true.
 
 Like every static pass this one under-approximates: reads through
 ``getattr`` with a computed name, ``exec`` or C extensions are invisible.
@@ -59,6 +58,8 @@ See ``docs/analysis.md`` for the full story.
 from __future__ import annotations
 
 import ast
+import dataclasses
+import enum
 import json
 import os
 import re
@@ -76,11 +77,7 @@ from repro.analysis.core import (
     parse_module,
     sort_findings,
 )
-from repro.analysis.simrace import (
-    MUTATING_METHODS,
-    diff_fingerprints,
-    method_aliases,
-)
+from repro.analysis.simrace import diff_fingerprints
 
 __all__ = [
     "PURITY_RULES",
@@ -98,8 +95,6 @@ PURITY_RULES: List[Rule] = [
          "sim-core read of an input that bypasses the cache key"),
     Rule("SP402", Severity.WARNING,
          "keyed field is never read by the simulator (over-keying)"),
-    Rule("SP404", Severity.ERROR,
-         "simulation mutates a keyed input object"),
 ]
 
 #: Environment variables the sim layer is *allowed* to read — each must be
@@ -122,29 +117,7 @@ _SIM_CORE_PARTS = (
     "repro/gpu", "repro/core", "repro/workloads",
 )
 
-#: ``self`` attributes / parameter names that hold keyed input objects.
-#: A write *into* one of these (``self.cfg.scale = ...``, ``cfg.gpu = ...``)
-#: or a mutating method call on one is SP404.
-_INPUT_ROOTS = frozenset({"cfg", "config", "spec", "profile", "gpu"})
-
 # --------------------------------------------------------------- module facts
-
-
-def _dotted_path(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
-    """Dotted name of an attribute chain with import aliases expanded,
-    or None when the base is not an imported name."""
-    parts: List[str] = []
-    cur = node
-    while isinstance(cur, ast.Attribute):
-        parts.append(cur.attr)
-        cur = cur.value
-    if not isinstance(cur, ast.Name):
-        return None
-    base = aliases.get(cur.id)
-    if base is None:
-        return None
-    parts.append(base)
-    return ".".join(reversed(parts))
 
 
 def _module_str_constants(tree: ast.Module) -> Dict[str, str]:
@@ -198,37 +171,6 @@ def _class_fields(cls: ast.ClassDef) -> Dict[str, int]:
     return fields
 
 
-def _input_root(node: ast.AST, aliases: Dict[str, str]) -> Tuple[Optional[str], int]:
-    """Resolve an attribute/subscript chain to a keyed-input root.
-
-    Returns ``(root, depth)`` where ``root`` is the input name (one of
-    :data:`_INPUT_ROOTS`) and ``depth`` is the number of attribute hops
-    *below* the root — ``self.cfg.scale`` is ``("cfg", 1)``,
-    ``cfg.gpu.num_cores`` is ``("cfg", 2)``, ``self.cfg`` is
-    ``("cfg", 0)``.  ``(None, 0)`` when the chain is not input-rooted.
-    """
-    attrs: List[str] = []
-    cur = node
-    while isinstance(cur, (ast.Attribute, ast.Subscript)):
-        if isinstance(cur, ast.Attribute):
-            attrs.append(cur.attr)
-        cur = cur.value
-    if not isinstance(cur, ast.Name):
-        return None, 0
-    if cur.id == "self":
-        # self.cfg.x -> attrs == ["x", "cfg"]: root is the outermost attr.
-        for i in range(len(attrs) - 1, -1, -1):
-            if attrs[i] in _INPUT_ROOTS:
-                return attrs[i], i
-        return None, 0
-    if cur.id in _INPUT_ROOTS:
-        return cur.id, len(attrs)
-    alias = aliases.get(cur.id)
-    if alias in _INPUT_ROOTS:
-        return alias, len(attrs)
-    return None, 0
-
-
 # ------------------------------------------------------------- static rules
 
 
@@ -236,17 +178,14 @@ def _check_undeclared_inputs(
     mctx: ModuleContext, class_names: Set[str], emit
 ) -> None:
     """SP401: env reads outside declared resolvers, ``global``
-    declarations, runtime class-attribute assignment."""
+    declarations, runtime class-attribute assignment, set iteration."""
     consts = _module_str_constants(mctx.tree)
     for node in ast.walk(mctx.tree):
         if isinstance(node, ast.Call):
-            target = mctx.resolve_call(node.func) or _dotted_path(
-                node.func, mctx.aliases
-            )
-            if target in ("os.getenv", "os.environ.get"):
+            if mctx.resolve_call(node.func) in ("os.getenv", "os.environ.get"):
                 _emit_env_read(node, _env_var_name(node, consts), mctx, emit)
         elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
-            if _dotted_path(node.value, mctx.aliases) == "os.environ":
+            if mctx.resolve_call(node.value) == "os.environ":
                 name = "<dynamic>"
                 if isinstance(node.slice, ast.Constant) and isinstance(
                     node.slice.value, str
@@ -278,6 +217,26 @@ def _check_undeclared_inputs(
                         f"{target.value.id}.{target.attr} = ...: class-level "
                         "state bypasses the cache key and leaks across runs",
                     )
+        elif isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+            if _is_set_expr(node.iter):
+                emit(
+                    node.iter, "SP401",
+                    "sim core iterates a set: its order follows the "
+                    "per-process hash seed (PYTHONHASHSEED), which is not "
+                    "part of sim_cache_key — iterate sorted(...) instead",
+                )
+
+
+def _is_set_expr(node: ast.AST) -> bool:
+    """True for the obvious sets: a literal, a set comprehension or a
+    ``set(...)``/``frozenset(...)`` call."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("set", "frozenset")
+    )
 
 
 _RESOLVER_NAME_RE = re.compile(r"(_from_env|_env_enabled)$")
@@ -310,67 +269,6 @@ def _emit_env_read(node: ast.AST, var: str, mctx: ModuleContext, emit) -> None:
         )
 
 
-def _check_input_mutations(mctx: ModuleContext, emit) -> None:
-    """SP404: writes into (or mutating calls on) profile/spec/config/gpu
-    objects anywhere in the sim core."""
-    for func in ast.walk(mctx.tree):
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        aliases = method_aliases(func)
-        for node in ast.walk(func):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for target in targets:
-                    if not isinstance(target, (ast.Attribute, ast.Subscript)):
-                        continue
-                    root, depth = _input_root(target, aliases)
-                    if root is not None and depth >= 1:
-                        emit(
-                            target, "SP404",
-                            f"assignment into keyed input object {root!r} "
-                            f"in {func.name}(): inputs are immutable — "
-                            "derive a new object with dataclasses.replace()",
-                        )
-            elif isinstance(node, ast.Call):
-                callee = node.func
-                if (
-                    isinstance(callee, ast.Attribute)
-                    and callee.attr in MUTATING_METHODS
-                ):
-                    root, depth = _input_root(callee.value, aliases)
-                    if root is not None and depth >= 1:
-                        emit(
-                            callee, "SP404",
-                            f"mutating call .{callee.attr}() on keyed input "
-                            f"object {root!r} in {func.name}(): inputs are "
-                            "immutable — copy before mutating",
-                        )
-                elif (
-                    _dotted_path(callee, mctx.aliases) == "object.__setattr__"
-                    or (
-                        isinstance(callee, ast.Attribute)
-                        and callee.attr == "__setattr__"
-                        and isinstance(callee.value, ast.Name)
-                        and callee.value.id == "object"
-                    )
-                ):
-                    if node.args:
-                        root, _depth = _input_root(node.args[0], aliases)
-                        if root is None and isinstance(node.args[0], ast.Name):
-                            root = (
-                                node.args[0].id
-                                if node.args[0].id in _INPUT_ROOTS
-                                else aliases.get(node.args[0].id)
-                            )
-                        if root in _INPUT_ROOTS:
-                            emit(
-                                callee, "SP404",
-                                f"object.__setattr__ on keyed input object "
-                                f"{root!r} in {func.name}(): defeats frozen-"
-                                "dataclass protection on a cache-key input",
-                            )
-
-
 # ----------------------------------------------------------- whole-tree pass
 
 
@@ -380,7 +278,7 @@ def _module_findings(
     source: str,
     wanted: Optional[Set[str]],
 ) -> List[Finding]:
-    """All per-module findings (SP401/SP404) for one file."""
+    """All per-module findings (SP401) for one file."""
     if not in_path_scope(path, _SIM_CORE_PARTS):
         return []
     mctx = ModuleContext(path, source, tree, "simpure")
@@ -404,7 +302,6 @@ def _module_findings(
         )
 
     _check_undeclared_inputs(mctx, class_names, emit)
-    _check_input_mutations(mctx, emit)
     return findings
 
 
@@ -547,29 +444,17 @@ def mutated_value(value: object) -> List[object]:
         return [value + "x", "probe"]
     if value is None:
         return [7, 11.0, 1]
-    if isinstance(value, enum_module().Enum):
+    if isinstance(value, enum.Enum):
         others = [m for m in type(value) if m is not value]
         return others or []
-    if dataclasses_module().is_dataclass(value):
+    if dataclasses.is_dataclass(value):
         # Mutate the first float field of a nested dataclass (GPUConfig).
-        for f in dataclasses_module().fields(value):
+        for f in dataclasses.fields(value):
             cur = getattr(value, f.name)
             if isinstance(cur, float) and not isinstance(cur, bool):
-                return [dataclasses_module().replace(value, **{f.name: cur + 1.0})]
+                return [dataclasses.replace(value, **{f.name: cur + 1.0})]
         return []
     return []
-
-
-def enum_module():
-    import enum
-
-    return enum
-
-
-def dataclasses_module():
-    import dataclasses
-
-    return dataclasses
 
 
 @dataclass(frozen=True)
@@ -635,8 +520,6 @@ class PurityReport:
 def _mutate_dataclass(obj: object, field_name: str) -> Optional[object]:
     """A copy of ``obj`` with ``field_name`` changed to a valid different
     value, or None when no candidate satisfies ``__post_init__``."""
-    import dataclasses
-
     current = getattr(obj, field_name)
     for candidate in mutated_value(current):
         if candidate == current:
@@ -654,7 +537,6 @@ def _key_probes(profile, spec, cfg) -> List[PurityProbe]:
     from repro.sim.store import cache_key_manifest, sim_cache_key
 
     base = sim_cache_key(profile, spec, cfg)
-    import dataclasses
 
     def rebuild(role: str, mutated):
         if role == "profile":
@@ -726,8 +608,6 @@ def confirm_purity(
     """
     # Lazy imports: repro.sim.system imports repro.analysis at module
     # load, so importing it here (not at module top) avoids the cycle.
-    import dataclasses
-
     from repro.cli import parse_design
     from repro.sim.config import SimConfig
     from repro.sim.results import SimResult

@@ -36,8 +36,8 @@ A ``schedule(..., priority=...)`` call site *declares* its same-cycle
 order (the engine sorts on ``(time, priority, seq)``), so pairs with a
 declared priority are exempt — that is the sanctioned fix.  Suppress a
 finding with ``# simrace: disable=SR201`` (comma list, or ``all``) on the
-flagged schedule line or on either handler's ``def`` line, mirroring
-SimLint's convention.  Self-pairs (one handler co-scheduled with itself)
+flagged schedule line or on either handler's ``def`` line, the convention
+SimPure shares.  Self-pairs (one handler co-scheduled with itself)
 are out of scope: FIFO among identical symmetric events models
 arbitration, and any real design resolves it arbitrarily too.
 
@@ -60,7 +60,7 @@ resolution, and interprocedural time flow (a ``now`` passed as a
 parameter) is not tracked.  The dynamic confirmer exists precisely to
 cover what the static pass cannot prove.
 
-See ``docs/analysis.md`` for the full story; :mod:`repro.analysis.simlint`
+See ``docs/analysis.md`` for the full story; :mod:`repro.analysis.simpure`
 and :mod:`repro.analysis.sanitizer` are the sibling tools.
 """
 
@@ -91,7 +91,6 @@ __all__ = [
     "confirm_races",
     "diff_fingerprints",
     "shuffle_outcomes",
-    "method_aliases",
 ]
 
 RACE_RULES: List[Rule] = [
@@ -246,13 +245,9 @@ def single_assignment_defs(func: ast.AST) -> Dict[str, ast.AST]:
     return {k: v for k, v in defs.items() if assigned_counts.get(k, 0) == 1}
 
 
-def method_aliases(
-    func: ast.AST, defs: Optional[Dict[str, ast.AST]] = None
-) -> Dict[str, str]:
-    """Local-name -> owning ``self`` attribute alias map for one method
-    (shared by SimRace and SimPure)."""
-    if defs is None:
-        defs = single_assignment_defs(func)
+def method_aliases(func: ast.AST, defs: Dict[str, ast.AST]) -> Dict[str, str]:
+    """Local-name -> owning ``self`` attribute alias map for one method,
+    from its :func:`single_assignment_defs`."""
     aliases: Dict[str, str] = {}
     for name, rhs in defs.items():
         if _is_alias_rhs(rhs):

@@ -10,12 +10,11 @@ The subcommands cover the library's main entry points::
     repro figures fig14 fig16
     repro figures --all --jobs 8 --cache-dir ~/.cache/repro  # parallel + persistent
     repro sweep P-2MM --scale 0.5 --jobs 4
-    repro lint src/repro                       # SimLint static analysis
     repro race --static src/repro              # SimRace ordering-hazard scan
     repro race --confirm --app P-2MM -k 5      # SimRace shadow-shuffle replay
     repro purity src/repro                     # SimPure key-soundness scan
     repro purity --confirm --scale 0.1         # mutate-and-replay confirmation
-    repro analyze src/repro                    # all three analyzers, one table
+    repro analyze src/repro                    # both analyzers, one table
     repro analyze --json src/repro             # machine-readable CI artifact
 
 Installed as the ``repro`` console script; also runnable as
@@ -42,9 +41,9 @@ from repro.workloads.suite import APP_NAMES, get_app
 #: Version of the ``repro analyze --json`` report schema.  Bump when the
 #: document's shape changes so downstream consumers (the future SimServe
 #: API, CI artifact differs) can dispatch on it.  v2: the pentapod grew
-#: into a hexapod — a ``simheat`` tool section joined the report.  The
-#: ``simshard`` and ``simheat`` sections have since gone; every remaining
-#: section keeps its shape, so the version stays 2.
+#: into a hexapod — a ``simheat`` tool section joined the report.  Every
+#: section but ``simrace`` and ``simpure`` has since gone; those two keep
+#: their shape, so the version stays 2.
 ANALYZE_SCHEMA_VERSION = 2
 
 _NAMED_DESIGNS = {
@@ -237,9 +236,9 @@ def _cmd_figures(args) -> int:
     for exp_id in ids:
         # Wall-clock is fine here: it reports elapsed real time to the user
         # and never feeds the simulation.
-        t0 = time.time()  # simlint: disable=SL101
+        t0 = time.time()
         print(run_experiment(exp_id, runner).render())
-        print(f"({time.time() - t0:.1f}s)\n")  # simlint: disable=SL101
+        print(f"({time.time() - t0:.1f}s)\n")
     # Observability goes to stderr: stdout stays a deterministic result
     # stream (cold and cache-warm reruns must diff clean).
     summary = runner.throughput_summary()
@@ -290,23 +289,21 @@ class _Analyzer(NamedTuple):
     """One static analyzer as ``repro <command>`` and ``repro analyze``
     drive it."""
 
-    name: str        # report name and suppression marker, e.g. "simlint"
+    name: str        # report name and suppression marker, e.g. "simrace"
     command: str     # the repro subcommand
     summary: str     # what it checks (the `repro analyze` table)
     rules: Sequence  # rule records with rule_id, severity and title
     run: Callable    # run(paths, select=None) -> sorted findings
     #: confirm(args) -> a report with ``.ok`` and ``.render(findings)``.
-    confirm: Optional[Callable] = None
+    confirm: Callable
 
 
 def _analyzers() -> Tuple[_Analyzer, ...]:
-    """The three analyzers in `repro analyze` row order.  Built inside the
+    """The two analyzers in `repro analyze` row order.  Built inside the
     analyzer commands only, so no simulator command imports them."""
-    from repro.analysis import simlint, simpure, simrace
+    from repro.analysis import simpure, simrace
 
     return (
-        _Analyzer("simlint", "lint", "determinism/resource hygiene",
-                  simlint.RULES, simlint.run_lint),
         _Analyzer("simrace", "race", "same-cycle ordering hazards",
                   simrace.RACE_RULES, simrace.run_race,
                   lambda args: simrace.confirm_races(
@@ -369,8 +366,8 @@ def _static_pass(tool: _Analyzer, paths: List[str],
 
 
 def _cmd_analyzer(args) -> int:
-    """``repro lint|race|purity``: the static pass, and
-    the dynamic confirmer when ``--confirm`` asks for it."""
+    """``repro race|purity``: the static pass, and the dynamic confirmer
+    when ``--confirm`` asks for it."""
     from repro.analysis.core import rule_table
 
     tool = next(t for t in _analyzers() if t.command == args.command)
@@ -385,7 +382,7 @@ def _cmd_analyzer(args) -> int:
         raise _UsageError(
             f"{tool.name}: unknown rule(s) {', '.join(unknown)} "
             f"(see `repro {tool.command} --list-rules`)")
-    confirm = tool.confirm if getattr(args, "confirm", False) else None
+    confirm = tool.confirm if args.confirm else None
     findings, exit_code = [], 0
     if confirm is None or args.static:
         paths = _analysis_paths(tool.name, args.paths)
@@ -460,23 +457,20 @@ def _cmd_analyze(args) -> int:
 
 
 def _analyzer_parser(sub, command: str, summary: str, rule_id: str,
-                     rules: str, paths: str = "to analyze", static: str = "",
-                     confirm: str = "",
-                     flags: Sequence[Tuple[Tuple[str, ...], dict]] = ()):
-    """One analyzer subcommand: PATHS; ``--static``, ``--confirm`` and the
-    confirmer's own ``flags`` when it has a confirmer; then the shared
+                     rules: str, static: str, confirm: str,
+                     flags: Sequence[Tuple[Tuple[str, ...], dict]]):
+    """One analyzer subcommand: PATHS, ``--static``, ``--confirm`` and the
+    confirmer's own ``flags``, then the shared
     ``--select/--strict/--list-rules``."""
     p = sub.add_parser(command, help=summary)
     p.add_argument("paths", nargs="*", help=(
-        f"files/directories {'for --static' if confirm else paths} "
-        "(default: the repro package)"))
-    if confirm:
-        p.add_argument("--static", action="store_true",
-                       help=f"run the static {static} pass "
-                            "(default when --confirm is not given)")
-        p.add_argument("--confirm", action="store_true", help=confirm)
-        for names, kwargs in flags:
-            p.add_argument(*names, **kwargs)
+        "files/directories for --static (default: the repro package)"))
+    p.add_argument("--static", action="store_true",
+                   help=f"run the static {static} pass "
+                        "(default when --confirm is not given)")
+    p.add_argument("--confirm", action="store_true", help=confirm)
+    for names, kwargs in flags:
+        p.add_argument(*names, **kwargs)
     p.add_argument("--select", action="append", metavar="RULE",
                    help=f"only run the given {rule_id} (repeatable)")
     p.add_argument("--strict", action="store_true",
@@ -545,9 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     _analyzer_parser(
-        sub, "lint", "SimLint: simulator-specific static analysis",
-        "rule ID", "rules", paths="to lint")
-    _analyzer_parser(
         sub, "race",
         "SimRace: same-cycle ordering-hazard detection "
         "(static AST pass and/or shadow-shuffle replay)",
@@ -586,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "analyze",
-        help="run all three static analyzers (lint + race + purity) "
+        help="run both static analyzers (race + purity) "
              "with a unified summary table and combined exit code",
     )
     p.add_argument("paths", nargs="*",

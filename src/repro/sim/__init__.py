@@ -23,7 +23,6 @@ from repro.sim.watchdog import (
     StallWatchdog,
     WaitGraph,
     build_wait_graph,
-    watchdog_from_env,
 )
 
 __all__ = [
@@ -51,5 +50,4 @@ __all__ = [
     "StallWatchdog",
     "WaitGraph",
     "build_wait_graph",
-    "watchdog_from_env",
 ]

@@ -167,8 +167,6 @@ class SimConfig:
     FINGERPRINT_NEUTRAL_FIELDS: ClassVar[FrozenSet[str]] = frozenset({
         "sanitize",
         "watchdog",
-        "watchdog_window",
-        "watchdog_same_cycle_limit",
     })
 
     gpu: GPUConfig = field(default_factory=GPUConfig)
@@ -217,12 +215,6 @@ class SimConfig:
     # Defaults from REPRO_WATCHDOG, resolved once at construction (same
     # declared-input contract as ``sanitize`` above).
     watchdog: bool = field(default_factory=watchdog_env_enabled)
-    # No-completion window in cycles before the watchdog declares a
-    # livelock (generous: the deepest healthy round trip is ~1k cycles).
-    watchdog_window: float = 50_000.0
-    # Events allowed at one simulated cycle without a completion or time
-    # advance before the watchdog declares a same-cycle livelock.
-    watchdog_same_cycle_limit: int = 1_000_000
 
     # SimRace shadow-shuffle mode (see repro.analysis.simrace and
     # docs/analysis.md): deterministically permute same-cycle handler

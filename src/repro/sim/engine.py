@@ -308,7 +308,7 @@ class Engine:
         permanently bricking the engine (every later ``schedule()`` raised
         "must be finite and not in the past").
         """
-        if not (deadline < _INF) or deadline == -_INF:  # simlint: disable=SL103
+        if not (deadline < _INF) or deadline == -_INF:
             return self._drain(_INF)
         self._drain(deadline)
         if self.now < deadline:
@@ -379,7 +379,7 @@ class Engine:
             # Value (not identity) check: callers construct their own
             # infinities, and float("inf") is not interned.  Comparing
             # against the +inf sentinel is exact by definition.
-            if deadline == _INF:  # simlint: disable=SL103
+            if deadline == _INF:
                 while heap:
                     key = heap[0]
                     bucket = buckets.pop(key)

@@ -234,7 +234,7 @@ class WorkerFleet:
         ctx = multiprocessing.get_context(method)
         # Spin-up is host observability (recorded in fleet stats and the
         # sweep baseline), never simulated behaviour.
-        t0 = time.perf_counter()  # simlint: disable=SL101
+        t0 = time.perf_counter()
         pool = ProcessPoolExecutor(
             max_workers=width, mp_context=ctx, initializer=_fleet_warm_init
         )
@@ -242,7 +242,7 @@ class WorkerFleet:
         # to spawn its full complement now (it creates processes lazily),
         # so the first real sweep is not serialized behind worker starts.
         list(pool.map(_fleet_warm, range(width)))
-        self.spinup_wall_s += time.perf_counter() - t0  # simlint: disable=SL101
+        self.spinup_wall_s += time.perf_counter() - t0
         self._pools[key] = pool
         self.cold_starts += 1
         return pool

@@ -48,8 +48,8 @@ so a round trip would carry the old string along instead of re-deriving
 the key from the restored fields.  ``TestCacheKey::
 test_key_derivation_leaves_pickle_unchanged`` in ``tests/test_store.py``
 pins that deriving a key leaves a point's pickled bytes unchanged.
-The memo relies on the objects being frozen; mutating one after
-construction is already an error (SimLint SL104, SimPure SP404).
+The memo relies on the objects being frozen: assigning a field after
+construction raises ``FrozenInstanceError``.
 
 Layout and versioning
 ---------------------

@@ -191,10 +191,9 @@ class GPUSystem:
         """
         self._fast = self._ledger is None and not self._force_slow
         # Captures the sanitizer-checked wrapper when a ledger swapped it
-        # in.  Named ``schedule`` (not ``_schedule``) on purpose: the
-        # static analyzers (SimRace/SimLint) recognize scheduling by
-        # attribute name, and the prebound hop must stay visible to
-        # their handler-reachability closures.
+        # in.  Named ``schedule`` (not ``_schedule``) on purpose: SimRace
+        # recognizes scheduling by attribute name, and the prebound hop
+        # must stay visible to its handler-reachability closures.
         self.schedule = self.engine.schedule
         amap = self.amap
         self._line_bits = amap.line_bits
@@ -231,16 +230,17 @@ class GPUSystem:
         self._rtt_count = 0
         # SimVec batched dispatch (see docs/performance.md): the fused
         # twins of _make_spec_twins, registered only for the
-        # single-cluster shape on uninstrumented runs — instrumented
-        # drains outrank batched dispatch in the engine anyway, and the
-        # scalar twins are the ground truth the fused twins are checked
-        # against (force_scalar_dispatch).  Every other design registers
-        # no twin and drains on scalar dispatch.  Must resolve last: the
-        # closures capture the pool rebuilt above.
+        # single-cluster shape on uninstrumented, unshuffled runs — the
+        # engine drains instrumented and shadow-shuffled runs on its
+        # instrumented loop, which calls no twin, and the scalar twins
+        # are the ground truth the fused twins are checked against
+        # (force_scalar_dispatch).  Every other design registers no twin
+        # and drains on scalar dispatch.  Must resolve last: the closures
+        # capture the pool rebuilt above.
         eng = self.engine
         eng.clear_batch_handlers()
         twins = None
-        if self._fast and not self._force_scalar:
+        if self._fast and not self._force_scalar and not self.cfg.race_check:
             twins = self._make_spec_twins()
         if twins is not None:
             eng.register_batch_handler(self._wf_issue, twins[0])
@@ -286,8 +286,6 @@ class GPUSystem:
             # watchdog mode implies it (sanitized runs are bit-identical).
             self._attach_sanitizer()
         watchdog = StallWatchdog(
-            window=self.cfg.watchdog_window,
-            same_cycle_limit=self.cfg.watchdog_same_cycle_limit,
             inflight=lambda: self.outstanding,
             graph=lambda: build_wait_graph(self),
         )
@@ -455,13 +453,13 @@ class GPUSystem:
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
-        t0 = perf_counter()  # simlint: disable=SL101
+        t0 = perf_counter()
         try:
             self.engine.run()
         finally:
             if gc_was_enabled:
                 gc.enable()
-        wall = perf_counter() - t0  # simlint: disable=SL101
+        wall = perf_counter() - t0
         if self._watchdog is not None and self.outstanding != 0:
             # Checked before the ledger's drain assertion: a wedged drain
             # should surface as a wait-graph-carrying SimStallError (who

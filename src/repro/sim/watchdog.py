@@ -39,29 +39,16 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional
 
 from repro.analysis.sanitizer import describe_owner
-from repro.sim.config import watchdog_env_enabled
 
 __all__ = [
     "SimStallError",
     "StallWatchdog",
     "WaitGraph",
     "build_wait_graph",
-    "watchdog_from_env",
 ]
 
 #: Cap per wait-graph section so a massively-stalled run stays readable.
 _MAX_SECTION_LINES = 16
-
-
-def watchdog_from_env() -> bool:
-    """True when the ``REPRO_WATCHDOG`` environment variable enables the
-    watchdog (any value other than empty or ``0``).
-
-    Kept as a compatibility alias: the environment is resolved by
-    :func:`repro.sim.config.watchdog_env_enabled` at :class:`SimConfig`
-    construction, never by the sim core at run time (SimPure SP401).
-    """
-    return watchdog_env_enabled()
 
 
 class SimStallError(RuntimeError):
@@ -124,7 +111,10 @@ class StallWatchdog:
     :meth:`progress` on every request completion and :meth:`drained`
     after the event queue empties.  ``inflight`` reports the in-flight
     request count; ``graph`` builds the wait-graph dump lazily (only on
-    the failure path).
+    the failure path).  ``window`` is the no-completion span in cycles
+    (generous: the deepest healthy round trip is ~1k cycles), and
+    ``same_cycle_limit`` the events allowed at one cycle without a
+    completion or time advance.
     """
 
     def __init__(

@@ -1,5 +1,5 @@
 """The analyzer core (repro.analysis.core) and the one CLI driver behind
-``repro lint|race|purity`` and ``repro analyze``.
+``repro race|purity`` and ``repro analyze``.
 
 The expected ``repro analyze --json`` document (tests/data/
 analyze_seeded.json) and the ``--list-rules`` tables below were recorded
@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.core import ModuleContext
-from repro.analysis.simlint import lint_source
 from repro.analysis.simpure import purity_source
 from repro.analysis.simrace import analyze_source
 from repro.cli import _analyzers, main
@@ -31,12 +30,6 @@ COMMANDS = list(REGISTRY)
 #: One seeded defect per analyzer, plus the same defect on a line that
 #: carries that analyzer's suppression marker.
 SEEDED_TREE = {
-    "lint_seed.py": (
-        "import time\n"
-        "\n"
-        "START = time.time()\n"
-        "QUIET = time.time()  # simlint: disable=SL101\n"
-    ),
     "race_seed.py": (
         "class Node:\n"
         "    def _dispatch(self, req):\n"
@@ -78,14 +71,12 @@ SEEDED_TREE = {
 
 #: Per command: the seeded file, its one rule, and the per-source API.
 SEEDS = {
-    "lint": ("lint_seed.py", "SL101", lint_source),
     "race": ("race_seed.py", "SR201", analyze_source),
     "purity": ("repro/sim/knobs.py", "SP401", purity_source),
 }
 
 #: Trees with warnings and no errors.
 WARNING_TREES = {
-    "lint": {"w.py": "for x in set(items):\n    x\n"},
     "race": {"w.py": (
         "class Node:\n"
         "    def _go(self, req):\n"
@@ -109,14 +100,6 @@ WARNING_TREES = {
 }
 
 LIST_RULES = {
-    "lint": (
-        "SL101  error    nondeterministic call in simulator code\n"
-        "SL102  warning  iteration over an unordered set\n"
-        "SL103  error    float equality comparison on a simulated timestamp\n"
-        "SL104  error    frozen-dataclass mutation via object.__setattr__\n"
-        "SL105  error    schedule() call with a past/NaN/inf time\n"
-        "SL106  error    __all__ lists an undefined name\n"
-    ),
     "race": (
         "SR201  error    same-cycle write/write conflict between "
         "co-scheduled handlers\n"
@@ -130,7 +113,6 @@ LIST_RULES = {
         "key\n"
         "SP402  warning  keyed field is never read by the simulator "
         "(over-keying)\n"
-        "SP404  error    simulation mutates a keyed input object\n"
     ),
 }
 
@@ -155,7 +137,7 @@ def seeded(tmp_path, monkeypatch):
 
 def test_registry_is_the_analyze_row_order():
     assert [(t.name, t.command) for t in _analyzers()] == [
-        ("simlint", "lint"), ("simrace", "race"), ("simpure", "purity"),
+        ("simrace", "race"), ("simpure", "purity"),
     ]
     assert [t.command for t in _analyzers() if t.confirm] == [
         "race", "purity"]
@@ -258,17 +240,17 @@ def test_bad_grid_entry_is_usage_error(command, entry, capsys):
 def test_suppression_is_per_marker_and_case_blind():
     source = (
         "a = 1  # simrace: disable=sr201\n"
-        "b = 2  # simlint: disable=all\n"
-        "c = 3  # simlint: disable=SL101  # simpure: disable=SP401, SP404\n"
+        "b = 2  # simpure: disable=all\n"
+        "c = 3  # simrace: disable=SR203  # simpure: disable=SP401, SP402\n"
     )
     ctx = ModuleContext("m.py", source, ast.parse(source), "simrace")
     assert ctx.suppressed("SR201", 1)
     assert not ctx.suppressed("SR202", 1)
     assert not ctx.suppressed("SR201", 2, 3, 99)
+    assert ctx.suppressed("SR203", 3)
     pure = ModuleContext("m.py", source, ast.parse(source), "simpure")
-    assert pure.suppressed("SP404", 3) and not pure.suppressed("SP401", 1, 2)
-    lint = ModuleContext("m.py", source, ast.parse(source), "simlint")
-    assert lint.suppressed("SL105", 2) and lint.suppressed("SL101", 3)
+    assert pure.suppressed("SP402", 3) and not pure.suppressed("SP401", 1)
+    assert pure.suppressed("SP401", 2) and pure.suppressed("SP402", 2)
 
 
 def test_simulator_import_loads_no_analyzer():

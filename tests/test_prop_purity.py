@@ -81,7 +81,6 @@ configs = st.builds(
     # Neutral knobs vary too: they must never matter to the key.
     sanitize=st.booleans(),
     watchdog=st.booleans(),
-    watchdog_window=st.sampled_from([50_000.0, 123.0]),
 )
 
 
@@ -134,24 +133,10 @@ class TestNeutralFieldsNeverTouchTheKey:
             profile, BASE_SPEC, BASE_CFG
         )
 
-    @given(
-        configs,
-        st.booleans(),
-        st.booleans(),
-        st.floats(min_value=1.0, max_value=1e6),
-        st.integers(min_value=10, max_value=10**7),
-    )
+    @given(configs, st.booleans(), st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_observation_knobs_are_neutral(
-        self, cfg, sanitize, watchdog, window, limit
-    ):
-        toggled = dataclasses.replace(
-            cfg,
-            sanitize=sanitize,
-            watchdog=watchdog,
-            watchdog_window=window,
-            watchdog_same_cycle_limit=limit,
-        )
+    def test_observation_knobs_are_neutral(self, cfg, sanitize, watchdog):
+        toggled = dataclasses.replace(cfg, sanitize=sanitize, watchdog=watchdog)
         assert sim_cache_key(BASE_PROFILE, BASE_SPEC, toggled) == sim_cache_key(
             BASE_PROFILE, BASE_SPEC, cfg
         )

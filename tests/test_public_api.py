@@ -1,5 +1,8 @@
 """Tests for the top-level public API surface."""
 
+import importlib
+import pkgutil
+
 import repro
 
 
@@ -8,8 +11,19 @@ class TestExports:
         assert repro.__version__ == "1.0.0"
 
     def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert getattr(repro, name) is not None
+        """Every name in every ``__all__`` under ``repro`` resolves."""
+        modules = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if info.name != "repro.__main__"
+        ]
+        unresolved = [
+            (module.__name__, name)
+            for module in modules
+            for name in getattr(module, "__all__", ())
+            if getattr(module, name, None) is None
+        ]
+        assert unresolved == []
 
     def test_quickstart_flow(self, tiny_gpu):
         """The README's three-line quickstart, on a tiny platform."""

@@ -14,13 +14,12 @@ from repro.analysis.sanitizer import (
     ResourceLedger,
     SanitizerError,
     describe_owner,
-    sanitize_from_env,
 )
 from repro.cache.mshr import MSHRFile
 from repro.core.designs import DesignSpec
 from repro.gpu.request import AccessKind, MemoryRequest
 from repro.noc.crossbar import Crossbar
-from repro.sim.config import SimConfig
+from repro.sim.config import SimConfig, sanitize_env_enabled
 from repro.sim.engine import Engine
 from repro.sim.system import GPUSystem
 
@@ -87,11 +86,11 @@ class TestLedger:
 
     def test_env_gate(self, monkeypatch):
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        assert not sanitize_from_env()
+        assert not sanitize_env_enabled()
         monkeypatch.setenv("REPRO_SANITIZE", "0")
-        assert not sanitize_from_env()
+        assert not sanitize_env_enabled()
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        assert sanitize_from_env()
+        assert sanitize_env_enabled()
 
 
 class TestEngineIntegration:

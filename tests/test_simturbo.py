@@ -363,13 +363,15 @@ def test_specialized_twins_engage_on_the_headline_config():
 
 def test_specialized_twins_decline_on_clustered_shape():
     """Only the fused shape registers batch twins: every other design
-    (and Sh40 with Q1 credits, which the fusion elides) drains on
-    scalar dispatch with an empty twin map."""
+    (Sh40 with Q1 credits, which the fusion elides, and a shadow-shuffled
+    Sh40 run, which drains on the instrumented loop) drains on scalar
+    dispatch with an empty twin map."""
     cases = [
         ("C-SP", "Sh40+C10", {}),
         ("T-AlexNet", "Baseline", {}),
         ("T-ResNet", "Pr40", {}),
         ("T-AlexNet", "Sh40", {"dcl1_queue_depth": 4}),
+        ("T-AlexNet", "Sh40", {"race_check": True}),
     ]
     for app, design, cfg_kw in cases:
         sys_ = GPUSystem(get_app(app), DESIGNS[design],

@@ -80,8 +80,6 @@ class TestCacheKey:
         "dcl1_queue_depth": 4,
         "sanitize": True,
         "watchdog": True,
-        "watchdog_window": 1.0,
-        "watchdog_same_cycle_limit": 7,
         "race_check": True,
         "race_seed": 42,
         "max_events": 123,

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core.designs import DesignSpec
-from repro.sim.config import SimConfig
+from repro.sim.config import SimConfig, watchdog_env_enabled
 from repro.sim.engine import Engine
 from repro.sim.system import GPUSystem, simulate
 from repro.sim.watchdog import (
@@ -13,7 +13,6 @@ from repro.sim.watchdog import (
     StallWatchdog,
     WaitGraph,
     build_wait_graph,
-    watchdog_from_env,
 )
 
 
@@ -143,11 +142,11 @@ class TestLivelockTriggers:
 class TestConfiguration:
     def test_env_var_enables(self, monkeypatch):
         monkeypatch.delenv("REPRO_WATCHDOG", raising=False)
-        assert watchdog_from_env() is False
+        assert watchdog_env_enabled() is False
         monkeypatch.setenv("REPRO_WATCHDOG", "0")
-        assert watchdog_from_env() is False
+        assert watchdog_env_enabled() is False
         monkeypatch.setenv("REPRO_WATCHDOG", "1")
-        assert watchdog_from_env() is True
+        assert watchdog_env_enabled() is True
 
     def test_config_flag_attaches_watchdog_and_ledger(
         self, tiny_config, shared_profile
