@@ -68,7 +68,8 @@ profile:
 # benchmarks/results/engine.txt and machine-readably in
 # benchmarks/results/engine.json (the CI perf-regression baseline —
 # commit the refreshed json to re-baseline).  First the perfbench
-# self-test and a short grid-warm replay through the disk cache, checked
+# self-test, a short grid-warm replay through the disk cache and a short
+# fused-sh40 run (the fused Sh40 handlers on all five apps), each checked
 # against perfbench/reference.json (run.py exits 0 even when points
 # fail, so the last line's "correct" flag is the verdict).
 perf-smoke:
@@ -76,6 +77,9 @@ perf-smoke:
 	$(PYTHON) perfbench/run.py --workload grid-warm --seed 0 --seconds 1 --trace 0 \
 		| tail -n 1 \
 		| $(PYTHON) -c "import json, sys; r = json.loads(sys.stdin.read()); print('grid-warm:', r['failed'], 'of', r['attempted'], 'points failed'); sys.exit(0 if r['correct'] else 1)"
+	$(PYTHON) perfbench/run.py --workload fused-sh40 --seed 0 --seconds 1 --trace 0 \
+		| tail -n 1 \
+		| $(PYTHON) -c "import json, sys; r = json.loads(sys.stdin.read()); print('fused-sh40:', r['failed'], 'of', r['attempted'], 'points failed'); sys.exit(0 if r['correct'] else 1)"
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_engine.py -q
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_sweep.py -q
 

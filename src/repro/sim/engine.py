@@ -28,8 +28,8 @@ follow-on event lands strictly later or at equal time with equal-or-higher
 priority.  The shadow-shuffle drain (SimRace's dynamic confirmer) exists
 precisely to catch simulations that depend on same-cycle accidents.
 
-Hot-path architecture (SimTurbo / SimVec)
------------------------------------------
+Hot-path architecture (SimTurbo)
+-------------------------------
 The engine serves two masters: multi-hundred-thousand-event production
 runs that should spend every cycle in model callbacks, and instrumented
 diagnostic runs (sanitizer / watchdog / shadow-shuffle / profiler) that
@@ -43,18 +43,18 @@ time**, never per event:
   (``attach_sanitizer(None)``) restores the fast one.
 * :meth:`run` and :meth:`run_until` both funnel into :meth:`_drain`, the
   single instrumentation-dispatch point.  It picks exactly one drain
-  loop (instrumented > batched > plain) so ``run_until`` gets the same
+  loop (instrumented > plain) so ``run_until`` gets the same
   instrumentation as ``run``.  The instrumented loop serves every
   attached instrument at once, so attaching one never silences another.
 * Every drain loop localizes the heap, the bucket dict and the event
   counter and flushes the counter back in a ``finally`` — exceptions
   (budget, stall) never lose the count, and a bucket interrupted
   mid-drain re-queues its unprocessed remainder so no event is lost.
-* SimVec batched dispatch (:meth:`register_batch_handler`): maximal runs
-  of consecutive same-callback entries within one bucket are handed to
-  the handler's batch twin as a single call instead of one call per
-  event.  A bucket *is* the same-``(time, priority)`` batch, so run
-  detection is a flat scan — no heap peeking.
+* Both loops call one callback per event.  The fused Sh40 handlers of
+  :mod:`repro.sim.system` are plain callbacks to the engine; they push
+  their follow-on events straight into ``_heap`` and ``_buckets``
+  (:meth:`schedule`'s append, validation elided), so the bucket layout
+  is an interface the system relies on.
 
 The engine also implements SimRace's dynamic half: constructing it with a
 ``shuffle_seed`` enables *shadow shuffle* mode, where each bucket has its
@@ -112,13 +112,6 @@ class Engine:
         self._watchdog = None
         # Per-handler event profiler (see repro.sim.profiler).
         self._profiler = None
-        # SimVec batched dispatch: underlying handler function (__func__
-        # of the scheduled bound method) -> batch twin taking a run view
-        # ``(bucket, start, stop)``.  When non-empty (and no
-        # instrumentation outranks it), _drain dispatches to
-        # _drain_batched, which hands maximal same-bucket same-handler
-        # runs to the twin as one call.
-        self._batch_handlers: Dict[Any, Callable[[list, int, int], None]] = {}
 
     def attach_sanitizer(self, ledger) -> None:
         """Attach a :class:`repro.analysis.sanitizer.ResourceLedger`.
@@ -211,33 +204,6 @@ class Engine:
             bucket.append(callback)
             bucket.append(payload)
 
-    def register_batch_handler(
-        self,
-        callback: Callable[[Any], None],
-        batch_callback: Callable[[list, int, int], None],
-    ) -> None:
-        """Register ``batch_callback`` as the batched twin of ``callback``.
-
-        When events for ``callback`` are adjacent within one ``(time,
-        priority)`` bucket, :meth:`_drain_batched` hands the whole run to
-        ``batch_callback(bucket, start, stop)`` as one call instead of
-        calling the scalar handler per event.  The run's payloads sit at
-        the odd slots ``bucket[start + 1 : stop : 2]`` (flat ``[cb, p,
-        cb, p, ...]`` storage); passing the bucket by reference keeps the
-        drain loop from copying payloads into a scratch list.  The twin
-        must read only its ``[start, stop)`` slice and be observationally
-        identical to calling the scalar handler on each payload in FIFO
-        order — including the relative order of every ``schedule()`` call
-        it makes (insertion order breaks same-cycle ties).  Keyed by
-        ``__func__`` so all bound methods of one function share a twin.
-        """
-        key = getattr(callback, "__func__", callback)
-        self._batch_handlers[key] = batch_callback
-
-    def clear_batch_handlers(self) -> None:
-        """Drop every registered batch twin (scalar dispatch resumes)."""
-        self._batch_handlers.clear()
-
     def schedule_batch(
         self,
         time: float,
@@ -249,9 +215,9 @@ class Engine:
 
         Exactly equivalent to one :meth:`schedule` call per payload in
         iteration order (consecutive bucket slots preserve FIFO), with the
-        validation and bucket lookup hoisted out of the loop — the vector
-        entry point for handlers that fan out many same-cycle events
-        (wavefront seeding, batched completion re-issues).
+        validation and bucket lookup hoisted out of the loop.  Its caller
+        is :meth:`repro.sim.system.GPUSystem.run`, which seeds every
+        wavefront's first issue at time 0 in one call.
         """
         if not (self.now <= time < _INF):
             raise ValueError(
@@ -322,10 +288,8 @@ class Engine:
 
         Exactly one loop runs.  Any attached instrument (shadow shuffle,
         watchdog, profiler) selects the instrumented loop, which serves
-        all of them at once; instrumented runs want per-event
-        observation, and results are bit-identical either way.  Otherwise
-        batched dispatch runs when twins are registered, and the
-        branch-free plain loop is the default.  The drain flag is
+        all of them at once; results are bit-identical either way.
+        Otherwise the branch-free plain loop runs.  The drain flag is
         maintained in a ``finally`` so every exit path (drain, deadline
         stop, budget error, stall error) agrees: an empty heap IS a full
         drain, a non-empty one is not.
@@ -334,8 +298,6 @@ class Engine:
             if (self._shuffle_rng is not None or self._watchdog is not None
                     or self._profiler is not None):
                 self._drain_instrumented(deadline)
-            elif self._batch_handlers:
-                self._drain_batched(deadline)
             else:
                 self._drain_plain(deadline)
         finally:
@@ -411,70 +373,6 @@ class Engine:
                         n += 1
                         if n > budget:
                             raise self._budget_error()
-        finally:
-            self.events_processed = n
-            if i < size:
-                self._requeue_remainder(key, bucket, i)
-
-    def _drain_batched(self, deadline: float) -> None:
-        """SimVec production loop: pop a bucket, hand maximal runs of
-        consecutive same-callback entries to their registered batch twin,
-        dispatch everything else scalar.
-
-        Event order is identical to the plain loop by construction: a
-        bucket is processed front to back, and a run only ever ends at
-        the first entry with a different callback.  Batching is safe
-        because no handler in this model schedules new work at ``(now,
-        priority <= current)`` that could interleave *inside* a run —
-        every hop has positive occupancy, and same-key events a twin
-        schedules (e.g. completion re-issues) open a fresh bucket,
-        landing after the current one exactly as their insertion order
-        demands.  The event budget is checked per run (bounded overshoot
-        of one run), which keeps the check out of the twins' inner loops.
-        """
-        heap = self._heap
-        buckets = self._buckets
-        pop = _heappop
-        budget = self.max_events
-        twins = self._batch_handlers
-        n = self.events_processed
-        key = None
-        bucket: list = []
-        i = size = 0
-        try:
-            while heap and heap[0][0] <= deadline:
-                key = heap[0]
-                bucket = buckets.pop(key)
-                pop(heap)
-                self.now = key[0]
-                i = 0
-                size = len(bucket)
-                while i < size:
-                    callback = bucket[i]
-                    j = i + 2
-                    while j < size and bucket[j] == callback:
-                        j += 2
-                    # Twinned handlers take singleton runs too: their
-                    # fused per-item pipeline beats the scalar handler
-                    # even for one event, and one code shape per handler
-                    # keeps the contract simple.
-                    twin = twins.get(getattr(callback, "__func__", callback))
-                    if twin is None:
-                        while i < j:
-                            payload = bucket[i + 1]
-                            i += 2
-                            callback(payload)
-                            n += 1
-                    else:
-                        # Advance past the run *before* the twin call so
-                        # an exception inside it re-queues only the
-                        # bucket's tail, not the half-processed run.
-                        start = i
-                        i = j
-                        twin(bucket, start, j)
-                        n += (j - start) >> 1
-                    if n > budget:
-                        raise self._budget_error()
         finally:
             self.events_processed = n
             if i < size:

@@ -10,8 +10,11 @@ a bit-identical :meth:`~repro.sim.results.SimResult.fingerprint` — the
 profiler observes, it never steers.
 
 Handler keys are the underlying functions (``__func__`` of the bound
-methods the system schedules), so all events of one handler aggregate
-into one row regardless of which payload they carried.
+methods the system schedules, or the function itself for the fused Sh40
+closures), so all events of one handler aggregate into one row
+regardless of which payload they carried.  A profiled run calls the same
+handlers as an unprofiled one, so the table measures the production
+dispatch path of every design, the fused tier included.
 
 Wall-clock readings break bit-reproducibility only of the *profile*, not
 of the simulation; the clock is intentionally real time.  Surfaced via
@@ -66,10 +69,9 @@ class EventProfiler:
         # Total wall time spent inside the profiled drain loop (includes
         # heap churn and dispatch overhead, not just handler bodies).
         self.wall_time = 0.0
-        # Dispatch tier an unprofiled run of the same system takes
-        # (GPUSystem.dispatch_tier; set by profile_simulation).  The
-        # engine ranks the profiler above batched dispatch, so the
-        # profiled drain itself always dispatches one event at a time.
+        # Dispatch tier of the profiled system (GPUSystem.dispatch_tier;
+        # set by profile_simulation).  Profiling changes the drain loop,
+        # not the handlers, so this is also the tier the table measured.
         self.production_tier: Optional[str] = None
 
     @property

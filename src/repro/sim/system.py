@@ -41,9 +41,10 @@ the fast/slow split once, at build time:
 * Result counters are batched into plain integer attributes and flushed
   once, in ``_collect`` — nothing reads them mid-run (the live audit
   inspects structural state only).
-* Every design drains on scalar dispatch; only the single-cluster Sh40
-  shape adds batch twins on top (the fused closures of
-  ``_make_spec_twins``).  ``dispatch_tier`` names the tier taken.
+* Every design drains on scalar dispatch, except the single-cluster
+  Sh40 shape: there ``_make_fused_handlers`` builds fused per-event
+  closures that replace ``_wf_issue``, ``_l1_access`` and ``_complete``
+  on the instance.  ``dispatch_tier`` names the tier taken.
 
 Every specialization preserves arithmetic exactly; the fingerprint
 identity of fast vs. instrumented runs is enforced by
@@ -87,6 +88,10 @@ _LOAD = int(AccessKind.LOAD)
 _STORE = int(AccessKind.STORE)
 _ATOMIC = int(AccessKind.ATOMIC)
 _BYPASS = int(AccessKind.BYPASS)
+
+# The scalar handlers the fused Sh40 closures replace on the instance.
+_FUSED_HANDLERS = ("_wf_issue", "_l1_access", "_complete")
+
 
 class GPUSystem:
     """One runnable simulation instance (single-use: build, run, read)."""
@@ -173,8 +178,8 @@ class GPUSystem:
         # must never perturb sim_cache_key or the fingerprint contract.
         self._force_slow = False
         # SimVec confirmer knob (see force_scalar_dispatch): when set,
-        # the fast wiring skips batch-handler registration so every event
-        # runs the scalar fast twin.  Same non-config rationale as above.
+        # the fast wiring installs no fused handler, so every event runs
+        # its scalar fast handler.  Same non-config rationale as above.
         self._force_scalar = False
 
         # Resolve the fast/slow hot-path split — must run last: it
@@ -189,6 +194,13 @@ class GPUSystem:
         methods they replace, so every handler has exactly one code shape;
         which implementation runs was decided here, not per event.
         """
+        # Re-wiring (force_slow_path / force_scalar_dispatch) starts from
+        # the scalar methods: drop the fused handlers a fused wiring
+        # installed over them, and no other instance attribute (a
+        # RequestTrace wraps _complete the same way).
+        if getattr(self, "dispatch_tier", None) == "fused":
+            for name in _FUSED_HANDLERS:
+                del self.__dict__[name]
         self._fast = self._ledger is None and not self._force_slow
         # Captures the sanitizer-checked wrapper when a ledger swapped it
         # in.  Named ``schedule`` (not ``_schedule``) on purpose: SimRace
@@ -228,30 +240,29 @@ class GPUSystem:
         self._n_bypassed_fills = 0
         self._rtt_sum = 0.0
         self._rtt_count = 0
-        # SimVec batched dispatch (see docs/performance.md): the fused
-        # twins of _make_spec_twins, registered only for the
-        # single-cluster shape on uninstrumented, unshuffled runs — the
-        # engine drains instrumented and shadow-shuffled runs on its
-        # instrumented loop, which calls no twin, and the scalar twins
-        # are the ground truth the fused twins are checked against
-        # (force_scalar_dispatch).  Every other design registers no twin
-        # and drains on scalar dispatch.  Must resolve last: the closures
-        # capture the pool rebuilt above.
-        eng = self.engine
-        eng.clear_batch_handlers()
-        twins = None
+        # SimVec fused dispatch (see docs/performance.md): the closures
+        # of _make_fused_handlers, installed over the scalar handlers
+        # only for the single-cluster shape on uninstrumented runs.  The
+        # scalar handlers are the ground truth the fused ones are checked
+        # against (force_scalar_dispatch), and a race_check run stays
+        # scalar because SimRace's confirmer replays the methods its
+        # static pass reads.  Every other design drains on scalar
+        # dispatch.  Must resolve last: the closures capture the pool
+        # rebuilt above.
+        fused = None
         if self._fast and not self._force_scalar and not self.cfg.race_check:
-            twins = self._make_spec_twins()
-        if twins is not None:
-            eng.register_batch_handler(self._wf_issue, twins[0])
-            eng.register_batch_handler(self._l1_access, twins[1])
-            eng.register_batch_handler(self._complete, twins[2])
-        # The tier an unprofiled drain of this wiring takes
-        # ("slow" / "scalar" / "fused"); observability only.
+            fused = self._make_fused_handlers()
+        if fused is not None:
+            # Instance attributes shadow the methods, so every
+            # ``self.schedule(..., self._wf_issue, ...)`` site of the
+            # scalar code schedules the fused handler too.
+            self._wf_issue, self._l1_access, self._complete = fused  # type: ignore[method-assign]
+        # The tier this wiring drains on, profiled or not
+        # ("slow" / "scalar" / "fused"); the next re-wiring reads it.
         if not self._fast:
             self.dispatch_tier = "slow"
         else:
-            self.dispatch_tier = "scalar" if twins is None else "fused"
+            self.dispatch_tier = "scalar" if fused is None else "fused"
 
     def force_slow_path(self) -> None:
         """Re-wire the system onto the instrumented slow twins, the
@@ -268,11 +279,11 @@ class GPUSystem:
         self._wire_hot_path()
 
     def force_scalar_dispatch(self) -> None:
-        """Re-wire with SimVec batched dispatch disabled: the fast wiring
-        stays, but every event runs its scalar fast twin individually
-        (the SimVec differential confirmer).  The resulting run must be
-        bit-identical to batched dispatch — that identity *is* the batch
-        twins' contract, enforced by tests/test_simturbo.py.  Like
+        """Re-wire with SimVec fused dispatch disabled: the fast wiring
+        stays, but every event runs its scalar fast handler (the SimVec
+        differential confirmer).  The resulting run must be
+        bit-identical to fused dispatch — that identity *is* the fused
+        handlers' contract, enforced by tests/test_simturbo.py.  Like
         :meth:`force_slow_path`, deliberately not a SimConfig field: it
         must never perturb sim_cache_key or the fingerprint contract."""
         if self._ran:
@@ -608,21 +619,22 @@ class GPUSystem:
             core.active_wavefronts -= 1
             core.finish_time = self.engine.now
 
-    # ------------------------------------------------------- SimVec fused twins
+    # ---------------------------------------------------- SimVec fused handlers
 
-    def _make_spec_twins(self):
-        """Build fused batch twins for the single-cluster decoupled fast
-        shape (the paper's ShY family at Z = 1, credits/filters off, LRU,
-        interleaved homes — what the headline Sh40 runs are), or ``None``
-        when any feature the fusion elides is active.  Called only on
-        fast wiring with batched dispatch enabled.
+    def _make_fused_handlers(self):
+        """Build fused per-event handlers for the single-cluster decoupled
+        fast shape (the paper's ShY family at Z = 1, credits/filters off,
+        LRU, interleaved homes — what the headline Sh40 runs are), or
+        ``None`` when any feature the fusion elides is active.  Called
+        only on fast wiring with fused dispatch enabled.
 
-        Every other design registers no batch twin and drains on scalar
-        dispatch.  These closures fuse the whole per-item pipeline —
-        stream advance, issue-port reservation, NoC#1 hop, cache probe,
-        reply hop and the event push — into one loop with every
-        per-design decision resolved here, at wiring time.  Each inlined
-        block mirrors its canonical twin statement for statement:
+        Returns the replacements for ``_wf_issue``, ``_l1_access`` and
+        ``_complete``, named after them (``repro profile`` prints their
+        qualnames).  Each fuses its handler's whole pipeline — stream
+        advance, issue-port reservation, NoC#1 hop, cache probe, reply
+        hop and the event push — with every per-design decision resolved
+        here, at wiring time.  Each inlined block mirrors its canonical
+        twin statement for statement:
 
         * port reservations — ``Server.reserve_fast``;
         * crossbar hops — ``Crossbar.traverse_fast`` (request flits are
@@ -633,16 +645,18 @@ class GPUSystem:
           dropped (``core_id // n * m == 0``);
         * cache probe — ``SetAssociativeCache.access_load`` with the
           LRU set's ``OrderedDict`` addressed directly;
-        * event pushes — ``Engine.schedule``'s bucket append.  The
-          validation branch is vacuous here: every push time sits at the
-          far end of a strictly-positive occupancy chain starting at
-          ``now``, so it is finite and never in the past.
+        * event pushes — ``Engine.schedule``'s bucket append, pushing
+          the fused handlers themselves.  The validation branch is
+          vacuous here: every push time sits at the far end of a
+          strictly-positive occupancy chain starting at ``now``, so it
+          is finite and never in the past.
 
-        Equivalence with the scalar twins is enforced by the SimVec
+        Equivalence with the scalar handlers is enforced by the SimVec
         differential confirmer (``force_scalar_dispatch``) and the
-        fingerprint-identity tests; an issue run containing a non-LOAD
-        access (the one shape the fusion does not handle) is handed to
-        the scalar ``_wf_issue`` item by item before any state changes.
+        fingerprint-identity tests.  The one shape the fusion does not
+        handle, an issue whose next access is not a LOAD or whose stream
+        is exhausted, goes to the scalar ``_wf_issue`` before any state
+        changes.
         """
         if not self.decoupled:
             return None
@@ -675,14 +689,16 @@ class GPUSystem:
         spc = self._slices_per_chan
         req_bytes = self._request_bytes
         load = _LOAD
-        # Built once per wiring, outside the closures' per-event loops.
+        store = _STORE
+        # Built once per wiring, outside the per-event bodies.
         ports = [c.issue_port for c in self.cores]
         cores_list = self.cores
         pool = self._req_pool
-        issue_cb = self._wf_issue
-        l1_cb = self._l1_access
-        complete_cb = self._complete
+        l1_miss = self._l1_miss
         at_l2_cb = self._at_l2
+        # The scalar method: _wire_hot_path installs the closures below
+        # over it only after this returns.
+        scalar_issue = self._wf_issue
         req_xb = topo.noc1_req[0]
         qin = req_xb._in
         qout = req_xb._out
@@ -699,249 +715,194 @@ class GPUSystem:
         req_flits = self._req_flits
         line_flits = self._line_flits
 
-        refill = self._wf_refill
-
-        def issue_run(bucket, lo, hi):
-            # A run with a shape the fusion elides (non-LOAD) goes to
-            # scalar dispatch, item by item in run order, before any
-            # cursor moves — exactly what the plain drain loop would do.
-            # Exhausted wavefronts are handled inline below — handing
-            # those off would push every end-of-stream run (and its
-            # co-scheduled live issues) back onto the scalar path.
-            for s in range(lo + 1, hi, 2):
-                wf = bucket[s]
-                if not wf.done and wf._kinds[wf.pc] != load:
-                    for w in range(lo + 1, hi, 2):
-                        issue_cb(bucket[w])
-                    return
+        def _wf_issue(wf):
+            if wf.done or wf._kinds[wf.pc] != load:
+                # Exhausted stream or a non-LOAD access: the scalar
+                # handler, before any state changes.
+                scalar_issue(wf)
+                return
+            wf.issue_pending = False
+            pc = wf.pc
+            line = wf._lines[pc]
+            pc += 1
+            wf.pc = pc
+            if pc >= wf._length:
+                wf.done = True
+            c = wf.core_id
+            # Issue-port reservation (Server.reserve_fast).
             now = eng.now
-            outst = 0
-            for s in range(lo + 1, hi, 2):
-                wf = bucket[s]
-                wf.issue_pending = False
-                if wf.done:
-                    # _wf_issue's exhausted-stream branch: refill once
-                    # the last reply lands (CTA replacement re-enters
-                    # the scalar issue path, which is the canonical
-                    # behaviour — refills are rare).
-                    if wf.outstanding == 0:
-                        refill(wf)
-                    continue
-                pc = wf.pc
-                line = wf._lines[pc]
-                pc += 1
-                wf.pc = pc
-                if pc >= wf._length:
-                    wf.done = True
-                c = wf.core_id
-                # Issue-port reservation (Server.reserve_fast).
-                srv = ports[c]
-                nf = srv.next_free
-                start = now if now > nf else nf
-                occ = srv.service * wf._issue_size
-                srv.next_free = start + occ
-                srv.busy_cycles += occ
-                srv.num_served += 1
-                t = start + occ + srv.latency
-                # CoreState.count_access (_instr_inc is 1 + int(gap)).
-                core = cores_list[c]
-                core.mem_instructions += 1
-                core.instructions += wf._instr_inc
-                if pool:
-                    req = pool.pop()
-                    req.l1_hit = False
-                    req.l2_hit = False
-                    req.merged = False
-                else:
-                    req = MemoryRequest(0, load, req_bytes, 0)
-                l2 = line % num_l2
-                home = line % m
-                req.addr = line << line_bits
-                req.kind = load
-                req.core_id = c
-                req.wavefront = wf
-                req.issue_time = t
-                req.line = line
-                req.l2_id = l2
-                req.mc_id = l2 // spc
-                req.dcl1_id = home
-                outst += 1
-                wf.outstanding += 1
-                # (_schedule_issue's issue_pending guard is vacuous here:
-                # it was cleared at the top of this item and nothing set
-                # it since.)
-                if wf.outstanding < wf.mlp:
-                    wf.issue_pending = True
-                    key = (t, 0)
-                    b = buckets.get(key)
-                    if b is None:
-                        buckets[key] = [issue_cb, wf]
-                        hpush(heap, key)
-                    else:
-                        b.append(issue_cb)
-                        b.append(wf)
-                # NoC#1 request hop, one flit (Crossbar.traverse_fast).
-                p = qin[c]
-                nf = p.next_free
-                sx = t if t > nf else nf
-                occ = p.service
-                p.next_free = sx + occ
-                p.busy_cycles += occ
-                p.num_served += 1
-                t1 = sx + occ + p.latency
-                p = qout[home]
-                nf = p.next_free
-                sx = t1 if t1 > nf else nf
-                occ = p.service
-                p.next_free = sx + occ
-                p.busy_cycles += occ
-                p.num_served += 1
-                arr = sx + occ + p.latency
-                key = (arr, 0)
+            srv = ports[c]
+            nf = srv.next_free
+            start = now if now > nf else nf
+            occ = srv.service * wf._issue_size
+            srv.next_free = start + occ
+            srv.busy_cycles += occ
+            srv.num_served += 1
+            t = start + occ + srv.latency
+            # CoreState.count_access (_instr_inc is 1 + int(gap)).
+            core = cores_list[c]
+            core.mem_instructions += 1
+            core.instructions += wf._instr_inc
+            if pool:
+                req = pool.pop()
+                req.l1_hit = False
+                req.l2_hit = False
+                req.merged = False
+            else:
+                req = MemoryRequest(0, load, req_bytes, 0)
+            l2 = line % num_l2
+            home = line % m
+            req.addr = line << line_bits
+            req.kind = load
+            req.core_id = c
+            req.wavefront = wf
+            req.issue_time = t
+            req.line = line
+            req.l2_id = l2
+            req.mc_id = l2 // spc
+            req.dcl1_id = home
+            sysm.outstanding += 1
+            sysm._n_loads += 1
+            wf.outstanding += 1
+            # (_schedule_issue's issue_pending guard is vacuous here: it
+            # was cleared above and nothing set it since.)
+            if wf.outstanding < wf.mlp:
+                wf.issue_pending = True
+                key = (t, 0)
                 b = buckets.get(key)
                 if b is None:
-                    buckets[key] = [l1_cb, req]
+                    buckets[key] = [_wf_issue, wf]
                     hpush(heap, key)
                 else:
-                    b.append(l1_cb)
-                    b.append(req)
-            req_xb.flit_hops += outst
-            sysm.outstanding += outst
-            sysm._n_loads += outst
+                    b.append(_wf_issue)
+                    b.append(wf)
+            # NoC#1 request hop, one flit (Crossbar.traverse_fast).
+            p = qin[c]
+            nf = p.next_free
+            sx = t if t > nf else nf
+            occ = p.service
+            p.next_free = sx + occ
+            p.busy_cycles += occ
+            p.num_served += 1
+            t1 = sx + occ + p.latency
+            p = qout[home]
+            nf = p.next_free
+            sx = t1 if t1 > nf else nf
+            occ = p.service
+            p.next_free = sx + occ
+            p.busy_cycles += occ
+            p.num_served += 1
+            req_xb.flit_hops += 1
+            arr = sx + occ + p.latency
+            key = (arr, 0)
+            b = buckets.get(key)
+            if b is None:
+                buckets[key] = [_l1_access, req]
+                hpush(heap, key)
+            else:
+                b.append(_l1_access)
+                b.append(req)
 
-        def l1_run(bucket, lo, hi):
+        def _l1_access(req):
+            idx = req.dcl1_id
+            # DC-L1 bank reservation (Server.reserve_fast).
             now = eng.now
-            nhits = 0
-            for s in range(lo + 1, hi, 2):
-                req = bucket[s]
-                idx = req.dcl1_id
-                # DC-L1 bank reservation (Server.reserve_fast).
-                srv = banks[idx]
-                nf = srv.next_free
-                start = now if now > nf else nf
-                occ = srv.service
-                srv.next_free = start + occ
-                srv.busy_cycles += occ
-                srv.num_served += 1
-                t = start + occ + srv.latency
-                cache = caches[idx]
-                if req.kind == load:
-                    line = req.line
-                    # SetAssociativeCache.access_load over the LRU set.
-                    od = cache._sets[
-                        ((line // div) & smask) if strip else (line & smask)
-                    ]._order
-                    if line in od:
-                        od.move_to_end(line)
-                        cache.stats.load_hits += 1
-                        req.l1_hit = True
-                        # NoC#1 reply hop (Crossbar.traverse_fast).
-                        p = rin[idx]
-                        nf = p.next_free
-                        sx = t if t > nf else nf
-                        occ = p.service * reply_flits
-                        p.next_free = sx + occ
-                        p.busy_cycles += occ
-                        p.num_served += 1
-                        t1 = sx + occ + p.latency
-                        p = rout[req.core_id]
-                        nf = p.next_free
-                        sx = t1 if t1 > nf else nf
-                        occ = p.service * reply_flits
-                        p.next_free = sx + occ
-                        p.busy_cycles += occ
-                        p.num_served += 1
-                        t2 = sx + occ + p.latency
-                        nhits += 1
-                        key = (t2, 0)
-                        b = buckets.get(key)
-                        if b is None:
-                            buckets[key] = [complete_cb, req]
-                            hpush(heap, key)
-                        else:
-                            b.append(complete_cb)
-                            b.append(req)
-                    else:
-                        # access_load's miss branch, directory included
-                        # (replication-ratio metric; shared DC-L1 levels
-                        # always carry one).
-                        stats = cache.stats
-                        stats.load_misses += 1
-                        d = cache.directory
-                        if d is not None and d.held_elsewhere(line, cache.cache_id):
-                            stats.replicated_misses += 1
-                        sysm._l1_miss(req, t, idx)
-                else:
-                    # STORE: write-evict + no-write-allocate, always to
-                    # L2 — same statements as the scalar twin's branch.
-                    hit = cache.access_store(req.line)
-                    req.l1_hit = hit
-                    flits = req_flits + (line_flits if hit else 0)
-                    t2 = rt_to_l2(t, idx, req.l2_id, flits)
+            srv = banks[idx]
+            nf = srv.next_free
+            start = now if now > nf else nf
+            occ = srv.service
+            srv.next_free = start + occ
+            srv.busy_cycles += occ
+            srv.num_served += 1
+            t = start + occ + srv.latency
+            cache = caches[idx]
+            if req.kind == load:
+                line = req.line
+                # SetAssociativeCache.access_load over the LRU set.
+                od = cache._sets[
+                    ((line // div) & smask) if strip else (line & smask)
+                ]._order
+                if line in od:
+                    od.move_to_end(line)
+                    cache.stats.load_hits += 1
+                    req.l1_hit = True
+                    # NoC#1 reply hop (Crossbar.traverse_fast).
+                    p = rin[idx]
+                    nf = p.next_free
+                    sx = t if t > nf else nf
+                    occ = p.service * reply_flits
+                    p.next_free = sx + occ
+                    p.busy_cycles += occ
+                    p.num_served += 1
+                    t1 = sx + occ + p.latency
+                    p = rout[req.core_id]
+                    nf = p.next_free
+                    sx = t1 if t1 > nf else nf
+                    occ = p.service * reply_flits
+                    p.next_free = sx + occ
+                    p.busy_cycles += occ
+                    p.num_served += 1
+                    rep_xb.flit_hops += reply_flits
+                    t2 = sx + occ + p.latency
                     key = (t2, 0)
                     b = buckets.get(key)
                     if b is None:
-                        buckets[key] = [at_l2_cb, req]
+                        buckets[key] = [_complete, req]
                         hpush(heap, key)
                     else:
-                        b.append(at_l2_cb)
+                        b.append(_complete)
                         b.append(req)
-            rep_xb.flit_hops += nhits * reply_flits
+                else:
+                    # access_load's miss branch, directory included
+                    # (replication-ratio metric; shared DC-L1 levels
+                    # always carry one).
+                    stats = cache.stats
+                    stats.load_misses += 1
+                    d = cache.directory
+                    if d is not None and d.held_elsewhere(line, cache.cache_id):
+                        stats.replicated_misses += 1
+                    l1_miss(req, t, idx)
+            else:
+                # STORE: write-evict + no-write-allocate, always to L2 —
+                # same statements as the scalar handler's branch.
+                hit = cache.access_store(req.line)
+                req.l1_hit = hit
+                flits = req_flits + (line_flits if hit else 0)
+                t2 = rt_to_l2(t, idx, req.l2_id, flits)
+                key = (t2, 0)
+                b = buckets.get(key)
+                if b is None:
+                    buckets[key] = [at_l2_cb, req]
+                    hpush(heap, key)
+                else:
+                    b.append(at_l2_cb)
+                    b.append(req)
 
-        store = _STORE
-
-        def complete_run(bucket, lo, hi):
-            # _complete's fast body over one run: same statements, with
-            # the re-issue pushes inlined (Engine.schedule's bucket
-            # append, _schedule_issue's guard included — all of a
-            # run's re-issues land at the one key ``(now, 0)``, so the
-            # target bucket is resolved once, on first use).  The push
-            # sequence is the item order either way; interleaving the
-            # pushes with the free-list appends is unobservable because
-            # the pool's append order itself never changes.
+        def _complete(req):
+            # _complete's fast body, with _schedule_issue's push inlined.
             now = eng.now
-            rtt_sum = 0.0
-            rtt_count = 0
-            key = (now, 0)
-            b = None
-            for s in range(lo + 1, hi, 2):
-                req = bucket[s]
-                kind = req.kind
-                if kind == load:
-                    rtt_sum += now - req.issue_time
-                    rtt_count += 1
-                    wf = req.wavefront
-                    wf.outstanding -= 1
-                    if not wf.issue_pending:
-                        wf.issue_pending = True
-                        if b is None:
-                            b = buckets.get(key)
-                            if b is None:
-                                b = []
-                                buckets[key] = b
-                                hpush(heap, key)
-                        b.append(issue_cb)
+            sysm.outstanding -= 1
+            kind = req.kind
+            if kind == load:
+                sysm._rtt_sum += now - req.issue_time
+                sysm._rtt_count += 1
+            if kind != store:
+                wf = req.wavefront
+                wf.outstanding -= 1
+                if not wf.issue_pending:
+                    wf.issue_pending = True
+                    key = (now, 0)
+                    b = buckets.get(key)
+                    if b is None:
+                        buckets[key] = [_wf_issue, wf]
+                        hpush(heap, key)
+                    else:
+                        b.append(_wf_issue)
                         b.append(wf)
-                elif kind != store:
-                    wf = req.wavefront
-                    wf.outstanding -= 1
-                    if not wf.issue_pending:
-                        wf.issue_pending = True
-                        if b is None:
-                            b = buckets.get(key)
-                            if b is None:
-                                b = []
-                                buckets[key] = b
-                                hpush(heap, key)
-                        b.append(issue_cb)
-                        b.append(wf)
-                req.wavefront = None
-                pool.append(req)
-            sysm.outstanding -= (hi - lo) >> 1
-            sysm._rtt_sum += rtt_sum
-            sysm._rtt_count += rtt_count
+            req.wavefront = None
+            pool.append(req)
 
-        return issue_run, l1_run, complete_run
+        return _wf_issue, _l1_access, _complete
 
     # ---------------------------------------------------------- node admission
 

@@ -13,7 +13,10 @@ before ``run()``::
     trace.percentiles([0.5, 0.99])
 
 The trace wraps the system's ``_complete`` callback, so it needs no
-simulator support and composes with every design.
+simulator support and composes with every design.  Attaching moves the
+system onto scalar dispatch (``force_scalar_dispatch``): the fused Sh40
+handlers schedule completions straight into the engine and would bypass
+the wrapper.  Scalar and fused dispatch give bit-identical results.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ class RequestTrace:
                kinds: Sequence[int] = (AccessKind.LOAD,)) -> "RequestTrace":
         """Hook a new trace into ``system`` (before ``run()``)."""
         trace = cls(sample_every, kinds)
+        system.force_scalar_dispatch()
         original = system._complete
 
         def traced_complete(req):

@@ -125,7 +125,7 @@ class TestCommands:
         assert not (tmp_path / "envcache").exists()
 
     @pytest.mark.parametrize("design, production", [
-        ("Sh40", "fused"),    # fused twins, outranked by the profiler
+        ("Sh40", "fused"),    # the fused handlers are profiled directly
         ("Pr40", "scalar"),   # scalar dispatch is production
     ])
     def test_profile_names_the_dispatch_tier(self, capsys, design, production):
@@ -135,11 +135,11 @@ class TestCommands:
                 "--scale", "0.02"]
         assert main(base) == 0
         text = capsys.readouterr().out
-        assert f"dispatch: {production}" in text
-        if production == "fused":
-            assert "taken on scalar dispatch" in text
-        else:
-            assert "taken on" not in text
+        assert (f"dispatch: {production} (the production path; "
+                "this table measured it)") in text
+        assert "taken on scalar dispatch" not in text
+        fused_rows = "_make_fused_handlers.<locals>._wf_issue" in text
+        assert fused_rows == (production == "fused")
         assert main(base + ["--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["production_tier"] == production

@@ -313,7 +313,7 @@ def test_run_until_feeds_the_shuffle_rng():
     assert len(eng.batch_pairs) == 1
 
 
-DRAIN_LOOPS = ["plain", "batched", "watchdog", "profiler", "shuffle", "all"]
+DRAIN_LOOPS = ["plain", "watchdog", "profiler", "shuffle", "all"]
 
 
 def _engine(instrument, **kwargs):
@@ -330,18 +330,6 @@ def _engine(instrument, **kwargs):
     return eng
 
 
-def _twinned(eng, instrument, handler):
-    """``handler``, given a batch twin under the "batched" instrument that
-    calls it on each payload of its run."""
-    if instrument == "batched":
-        def twin(bucket, start, stop):
-            for payload in bucket[start + 1:stop:2]:
-                handler(payload)
-
-        eng.register_batch_handler(handler, twin)
-    return handler
-
-
 @pytest.mark.parametrize("instrument", DRAIN_LOOPS)
 def test_event_budget_is_enforced_in_every_drain_loop(instrument):
     """One budget check, one message, every loop (including under a
@@ -351,7 +339,7 @@ def test_event_budget_is_enforced_in_every_drain_loop(instrument):
     def forever(_):
         eng.schedule_in(1.0, forever, None)
 
-    eng.schedule(0.0, _twinned(eng, instrument, forever), None)
+    eng.schedule(0.0, forever, None)
     with pytest.raises(RuntimeError, match="event budget"):
         eng.run_until(1e9)
     assert eng.events_processed == 51  # counter survives the raise
@@ -375,7 +363,7 @@ def test_raising_callback_requeues_the_rest_of_its_bucket(instrument):
         return call
 
     for tag in range(6):
-        eng.schedule(1.0, _twinned(eng, instrument, handler(tag)), None)
+        eng.schedule(1.0, handler(tag), None)
     with pytest.raises(ValueError, match="boom"):
         eng.run()
     eng.run()

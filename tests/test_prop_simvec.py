@@ -1,16 +1,17 @@
-"""Property-based SimVec identity: batched event dispatch must be
+"""Property-based SimVec identity: fused event dispatch must be
 bit-invisible on *random* small workloads and designs, not just the
 hand-picked grid points in tests/test_simturbo.py.
 
 Every example runs the same (profile, design) config twice — once with
 its production wiring, once with ``force_scalar_dispatch()`` — and
-requires a single fingerprint.  Only the single-cluster shared design
-registers fused twins; the others drain on scalar dispatch both times.
-The profile strategy deliberately spans the shapes the fused twins
-branch on: stores/atomics/bypasses (the issue twin hands such runs to
-scalar dispatch), MLP > 1 (the fused re-issue push), tiny streams (runs
-that hit the exhausted-wavefront branch) and imbalance (ragged
-same-cycle buckets).
+requires a single fingerprint ("batched" in the test names means the
+production wiring).  Only the single-cluster shared design installs
+fused handlers; the others drain on scalar dispatch both times.  The
+profile strategy deliberately spans the shapes the fused handlers
+branch on: stores/atomics/bypasses (the fused issue hands such accesses
+to the scalar ``_wf_issue``), MLP > 1 (the fused re-issue push), tiny
+streams (the exhausted-wavefront hand-off and CTA refills) and
+imbalance (ragged same-cycle buckets).
 """
 
 from hypothesis import given, settings
@@ -70,8 +71,8 @@ class TestSimVecProperties:
     @settings(max_examples=10, deadline=None)
     def test_batched_fingerprint_equals_slow_on_shared(self, profile):
         """Three-way anchor on the decoupled shape that engages the fused
-        twins: batched == forced-slow closes the loop scalar parity alone
-        would leave open."""
+        handlers: batched == forced-slow closes the loop scalar parity
+        alone would leave open."""
         spec = DesignSpec.shared(4)
         cfg = SimConfig(gpu=TINY_GPU)
         batched = GPUSystem(profile, spec, cfg).run()

@@ -94,11 +94,16 @@ def test_profiled_run_is_bit_identical_and_observes_everything():
         get_app("T-AlexNet"), DesignSpec.shared(40), SimConfig(scale=0.1)
     )
     assert fingerprint_hash(res) == GOLDEN[("T-AlexNet", "Sh40", 0.1)]
-    # The profiler saw every drained event, attributed to real handlers.
+    # The profiler saw every drained event, attributed to real handlers:
+    # on Sh40 those are the fused handlers production runs.
+    assert prof.production_tier == "fused"
     assert prof.total_events > 0
     names = {row.handler for row in prof.rows()}
-    assert "GPUSystem._wf_issue" in names
-    assert "GPUSystem._complete" in names
+    fused = "GPUSystem._make_fused_handlers.<locals>."
+    assert fused + "_wf_issue" in names
+    assert fused + "_l1_access" in names
+    assert fused + "_complete" in names
+    assert "GPUSystem._wf_issue" not in names
     assert prof.total_self_time >= 0.0
 
 
@@ -286,16 +291,16 @@ def test_wavefront_materializes_streams_to_plain_ints():
     assert wf.next_access() is None
 
 
-# ------------------------------------------------ SimVec batched dispatch
+# -------------------------------------------------- SimVec fused dispatch
 #
 # GPUSystem.force_scalar_dispatch() is the SimVec differential confirmer:
-# same fast wiring, but every event runs its scalar fast twin one call at
-# a time instead of per-run through the fused twins.  Batched, scalar and
-# forced-slow runs of one config must produce one fingerprint — that
-# identity is the fused twins' whole contract.  Only the single-cluster
-# Sh40 shape registers fused twins; every other design drains on scalar
-# dispatch, so its "batched" run is a scalar run and the point checks
-# scalar == slow.
+# same fast wiring, but every event runs its scalar fast handler instead
+# of the fused handler installed over it.  Fused ("batched" in the test
+# names), scalar and forced-slow runs of one config must produce one
+# fingerprint — that identity is the fused handlers' whole contract.
+# Only the single-cluster Sh40 shape installs fused handlers; every other
+# design drains on scalar dispatch, so its "batched" run is a scalar run
+# and the point checks scalar == slow.
 
 
 def _three_way_hashes(app, spec, scale=0.1, **cfg_kw):
@@ -316,8 +321,8 @@ def _three_way_hashes(app, spec, scale=0.1, **cfg_kw):
 @pytest.mark.parametrize(
     "app_name, design",
     [
-        ("T-AlexNet", "Sh40"),       # specialized fused twins engage
-        ("C-SP", "Sh40"),            # fused; stores hand issue runs to scalar
+        ("T-AlexNet", "Sh40"),       # fused handlers engage
+        ("C-SP", "Sh40"),            # fused; stores hand issues to scalar
         ("T-AlexNet", "Baseline"),   # coupled: no DC-L1 level
         ("T-ResNet", "Pr40"),        # private homes
         ("C-SP", "Sh40+C10"),        # clustered: scalar dispatch only
@@ -331,41 +336,54 @@ def test_batched_dispatch_matches_scalar_and_slow(app_name, design):
 
 
 def test_batched_dispatch_matches_scalar_with_q1_credits():
-    # Finite node queues route issue through _enter_node; the fused twins
-    # must decline and scalar dispatch must still be bit-exact.
+    # Finite node queues route issue through _enter_node; the fused
+    # handlers must decline and scalar dispatch must still be bit-exact.
     b, s, sl = _three_way_hashes(
         get_app("T-AlexNet"), DESIGNS["Sh40"], dcl1_queue_depth=4
     )
     assert b == s == sl
 
 
+def _installed(sys_):
+    """The fused handlers installed on ``sys_`` (instance attributes that
+    shadow the scalar methods), by name."""
+    return {name: sys_.__dict__[name]
+            for name in ("_wf_issue", "_l1_access", "_complete")
+            if name in sys_.__dict__}
+
+
 def test_specialized_twins_engage_on_the_headline_config():
     """Guard against the identity tests passing vacuously: on the
-    Sh40/T-AlexNet shape the fused specialized twins must actually be
-    registered (a silent eligibility regression would quietly hand the
-    headline benchmark back to the scalar path)."""
+    Sh40/T-AlexNet shape the fused handlers must actually be installed
+    (a silent eligibility regression would quietly hand the headline
+    benchmark back to the scalar path)."""
     sys_ = GPUSystem(get_app("T-AlexNet"), DESIGNS["Sh40"],
                      SimConfig(scale=0.05))
-    twins = sys_.engine._batch_handlers
-    issue_fn = sys_._wf_issue.__func__
-    assert issue_fn in twins
-    # the registered twin is the fused closure
-    assert twins[issue_fn].__qualname__.startswith(
-        "GPUSystem._make_spec_twins"
-    )
-    assert sys_._l1_access.__func__ in twins
-    assert sys_._complete.__func__ in twins
+    fused = _installed(sys_)
+    assert sorted(fused) == ["_complete", "_l1_access", "_wf_issue"]
+    for name, handler in fused.items():
+        # the installed handler is the fused closure named after the
+        # scalar handler it replaces
+        assert handler.__qualname__ == (
+            f"GPUSystem._make_fused_handlers.<locals>.{name}"
+        )
     assert sys_.dispatch_tier == "fused"
     sys_.force_scalar_dispatch()
-    assert sys_.engine._batch_handlers == {}
+    assert _installed(sys_) == {}
+    assert sys_._wf_issue.__func__ is GPUSystem._wf_issue
     assert sys_.dispatch_tier == "scalar"
+    slow = GPUSystem(get_app("T-AlexNet"), DESIGNS["Sh40"],
+                     SimConfig(scale=0.05))
+    slow.force_slow_path()
+    assert _installed(slow) == {}
+    assert slow.dispatch_tier == "slow"
 
 
 def test_specialized_twins_decline_on_clustered_shape():
-    """Only the fused shape registers batch twins: every other design
+    """Only the fused shape installs fused handlers: every other design
     (Sh40 with Q1 credits, which the fusion elides, and a shadow-shuffled
-    Sh40 run, which drains on the instrumented loop) drains on scalar
-    dispatch with an empty twin map."""
+    Sh40 run, which SimRace's confirmer must replay on the scalar
+    methods) drains on scalar dispatch with no handler installed."""
     cases = [
         ("C-SP", "Sh40+C10", {}),
         ("T-AlexNet", "Baseline", {}),
@@ -376,5 +394,5 @@ def test_specialized_twins_decline_on_clustered_shape():
     for app, design, cfg_kw in cases:
         sys_ = GPUSystem(get_app(app), DESIGNS[design],
                          SimConfig(scale=0.05, **cfg_kw))
-        assert sys_.engine._batch_handlers == {}, (app, design, cfg_kw)
+        assert _installed(sys_) == {}, (app, design, cfg_kw)
         assert sys_.dispatch_tier == "scalar", (app, design, cfg_kw)

@@ -5,10 +5,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -407,6 +409,56 @@ class TestDiskResultCache:
         assert loaded is not None
         assert loaded.fingerprint() == res.fingerprint()
         assert (cache.hits, cache.misses) == (1, 1)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="fork start method unavailable",
+    )
+    def test_concurrent_writers_never_tear_a_read(self, tmp_path, tiny_config):
+        """Two processes rewrite one key while this one reads it: put's
+        mkstemp + os.replace means every read is a miss or a whole entry,
+        never a torn one, and no temp file outlives the writers.  A torn
+        file would decode as a miss, so once one read has hit, every
+        later read must hit too (the old entry or the new one)."""
+        res = self.make_result(tiny_config)
+        expected = res.fingerprint()
+        key = sim_cache_key(PROFILE, SPEC, CFG)
+        ctx = multiprocessing.get_context("fork")
+        # Set once a read has hit; each writer keeps writing until then
+        # (and for at least 300 puts), so hits overlap live writes.
+        seen_hit = ctx.Event()
+
+        def writer():
+            cache = DiskResultCache(tmp_path)
+            n = 0
+            while n < 300 or (not seen_hit.is_set() and n < 20_000):
+                cache.put(key, res)
+                n += 1
+
+        writers = [ctx.Process(target=writer) for _ in range(2)]
+        for proc in writers:
+            proc.start()
+        cache = DiskResultCache(tmp_path)
+        reads = hits = 0
+        deadline = time.monotonic() + 60
+        while any(proc.is_alive() for proc in writers):
+            assert time.monotonic() < deadline, "writers still running"
+            loaded = cache.get(key)
+            reads += 1
+            if loaded is not None:
+                assert loaded.fingerprint() == expected
+                hits += 1
+                seen_hit.set()
+            else:
+                assert hits == 0, f"miss after {hits} hits: a torn entry"
+        for proc in writers:
+            proc.join(timeout=60)
+            assert proc.exitcode == 0
+        assert hits >= 1, f"no read overlapped a write ({reads} reads)"
+        leftovers = [name for _, _, names in os.walk(tmp_path)
+                     for name in names if name.endswith(".tmp")]
+        assert leftovers == []
+        assert cache.get(key).fingerprint() == expected
 
     def test_clear(self, tmp_path, tiny_config):
         cache = DiskResultCache(tmp_path)

@@ -175,6 +175,39 @@ class TestDiskCacheIntegration:
         assert warm.sims_run == 0 and warm.disk_cache.hits == len(grid)
         assert len(calls) == len(grid)
 
+    def test_failed_cache_write_keeps_every_result(self, tmp_path, monkeypatch):
+        # A failed atomic write (os.replace raising ENOSPC) loses the
+        # entry, never the sweep: every result comes back with its serial
+        # fingerprint, each failed key warns, and no entry or temp file
+        # is left behind.
+        import errno
+        import os
+
+        from repro.sim.validation import validate_grid
+
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        grid = [("C-NN", BASELINE), ("C-NN", BOOST)]
+        serial = [r.fingerprint() for r in fresh_runner().run_many(grid, jobs=1)]
+        runner = fresh_runner(cache=str(tmp_path))
+        keys = validate_grid(runner.resolve_points(grid))
+        monkeypatch.setattr(os, "replace", full_disk)
+        with pytest.warns(RuntimeWarning) as record:
+            results = runner.run_many(grid, jobs=1)
+        monkeypatch.undo()
+        assert [r.fingerprint() for r in results] == serial
+        assert runner.sims_run == len(grid)
+        failed = [str(w.message) for w in record
+                  if "result cache write failed" in str(w.message)]
+        assert len(failed) == len(grid)
+        for key, message in zip(keys, failed):
+            assert key in message and "No space left" in message
+        assert len(runner.disk_cache) == 0
+        leftovers = [name for _, _, names in os.walk(tmp_path)
+                     for name in names if name.endswith(".tmp")]
+        assert leftovers == []
+
     def test_cache_false_disables_env_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert Runner(SimConfig(scale=SCALE)).disk_cache is not None

@@ -8,15 +8,17 @@ from repro.sim.system import GPUSystem
 from repro.sim.trace_log import RequestTrace
 
 
-@pytest.fixture
-def traced_run(tiny_config, shared_profile):
-    system = GPUSystem(shared_profile, DesignSpec.clustered(8, 4), tiny_config)
+def _traced_run(spec, config, profile):
+    system = GPUSystem(profile, spec, config)
     trace = RequestTrace.attach(system, sample_every=1)
     res = system.run()
     return trace, res
 
 
-class TestTrace:
+class _TracedRunChecks:
+    """Checks on one fully traced run; each subclass supplies the design
+    through its ``traced_run`` fixture."""
+
     def test_records_every_load(self, traced_run):
         trace, res = traced_run
         assert len(trace) == res.loads
@@ -38,6 +40,19 @@ class TestTrace:
         assert sum(counts.values()) == len(trace)
         assert counts["L1"] > 0  # shared profile gets DC-L1 hits
 
+    def test_csv_round_trip(self, traced_run, tmp_path):
+        trace, _ = traced_run
+        path = trace.to_csv(tmp_path / "trace.csv")
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith("core,line,kind")
+        assert len(lines) == len(trace) + 1
+
+
+class TestTrace(_TracedRunChecks):
+    @pytest.fixture
+    def traced_run(self, tiny_config, shared_profile):
+        return _traced_run(DesignSpec.clustered(8, 4), tiny_config, shared_profile)
+
     def test_sampling_reduces_volume(self, tiny_config, shared_profile):
         system = GPUSystem(shared_profile, DesignSpec.baseline(), tiny_config)
         trace = RequestTrace.attach(system, sample_every=8)
@@ -51,13 +66,6 @@ class TestTrace:
         )
         res = system.run()
         assert len(trace) == res.loads + res.stores
-
-    def test_csv_round_trip(self, traced_run, tmp_path):
-        trace, _ = traced_run
-        path = trace.to_csv(tmp_path / "trace.csv")
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("core,line,kind")
-        assert len(lines) == len(trace) + 1
 
     def test_empty_trace_percentiles_raise(self):
         with pytest.raises(ValueError):
@@ -78,3 +86,21 @@ class TestTrace:
         RequestTrace.attach(system)
         system.run()
         assert audit(system) == []
+
+
+class TestTraceOnFusedShape(_TracedRunChecks):
+    """shared(8) is the fused shape, whose fused handlers schedule
+    completions straight into the engine: attaching must move the system
+    to scalar dispatch, or most completions bypass the trace."""
+
+    @pytest.fixture
+    def traced_run(self, tiny_config, shared_profile):
+        return _traced_run(DesignSpec.shared(8), tiny_config, shared_profile)
+
+    def test_rewiring_after_attach_keeps_the_trace(self, tiny_config,
+                                                   shared_profile):
+        system = GPUSystem(shared_profile, DesignSpec.shared(8), tiny_config)
+        trace = RequestTrace.attach(system)
+        system.force_slow_path()
+        res = system.run()
+        assert len(trace) == res.loads
