@@ -80,6 +80,9 @@ perf-smoke:
 	$(PYTHON) perfbench/run.py --workload fused-sh40 --seed 0 --seconds 1 --trace 0 \
 		| tail -n 1 \
 		| $(PYTHON) -c "import json, sys; r = json.loads(sys.stdin.read()); print('fused-sh40:', r['failed'], 'of', r['attempted'], 'points failed'); sys.exit(0 if r['correct'] else 1)"
+	$(PYTHON) perfbench/run.py --workload design-mix --seed 0 --seconds 1 --trace 0 \
+		| tail -n 1 \
+		| $(PYTHON) -c "import json, sys; r = json.loads(sys.stdin.read()); print('design-mix:', r['failed'], 'of', r['attempted'], 'points failed'); sys.exit(0 if r['correct'] else 1)"
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_engine.py -q
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_sweep.py -q
 

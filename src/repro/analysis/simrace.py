@@ -10,14 +10,14 @@ complementary prongs:
 
 **Static pass** (``repro race --static``, :func:`run_race`): walks the
 AST of the simulator packages and, per handler (a method passed to
-``schedule``/``schedule_in``), builds a read/write summary of the shared
+``schedule``), builds a read/write summary of the shared
 resources it touches — attribute state on the owning class (caches,
 MSHRs, banks, node credits, NoC topology), with simple local-alias
 tracking, commutative scalar counters excluded, and summaries propagated
 transitively through direct ``self._helper()`` calls.  Handler pairs that
 can be *co-scheduled at equal timestamps* — both scheduled with the same
 derived time expression from one function, at the same constant time, or
-one of them at a now-derived/zero-delay time — are then checked for
+one of them at a now-derived time — are then checked for
 conflicts:
 
 ========  ========  =====================================================
@@ -26,8 +26,8 @@ Rule ID   Severity  What it flags
 SR201     error     write/write conflict between two co-scheduled
                     handlers (result depends on schedule-call order)
 SR202     warning   read/write conflict between two co-scheduled handlers
-SR203     warning   a handler scheduled at a now-derived / zero-delay
-                    time writes state also written by another handler
+SR203     warning   a handler scheduled at a now-derived time writes
+                    state also written by another handler
                     (it can land in *any* batch, so it conflicts with
                     every co-resident writer)
 ========  ========  =====================================================
@@ -116,7 +116,6 @@ MUTATING_METHODS: Set[str] = {
     "add", "remove", "discard", "clear", "update", "setdefault",
     # NoC traversal helpers reserve crossbar ports internally
     "to_l2", "from_l2", "core_to_dcl1", "dcl1_to_core", "traverse", "inject",
-    "inject_out",
     # streaming-bypass filter state
     "on_hit", "on_evict", "on_install",
     # core / wavefront bookkeeping
@@ -146,7 +145,7 @@ class RaceFinding(Finding):
 
 @dataclass
 class _ScheduleSite:
-    """One ``schedule``/``schedule_in`` call scheduling a self-method."""
+    """One ``schedule`` call scheduling a self-method."""
 
     func: str            # enclosing method name
     handler: str         # scheduled self-method name
@@ -154,7 +153,7 @@ class _ScheduleSite:
     col: int
     key: str             # normalized (resolved) time-expression text
     is_const: bool       # constant absolute time (class-scoped key)
-    is_now: bool         # now-derived / zero-delay time
+    is_now: bool         # now-derived time
     has_priority: bool   # explicit priority= declared
 
 
@@ -303,7 +302,7 @@ def _summarize_method(func: ast.AST) -> _MethodSummary:
             base = node.func.value
             if isinstance(base, ast.Name) and base.id == "self":
                 summary.calls.add(node.func.attr)
-            if node.func.attr in ("schedule", "schedule_in"):
+            if node.func.attr == "schedule":
                 site = _schedule_site(summary.name, node, resolve_time)
                 if site is not None:
                     summary.sites.append(site)
@@ -328,13 +327,12 @@ def _summarize_method(func: ast.AST) -> _MethodSummary:
 def _schedule_site(func_name: str, node: ast.Call, resolve_time) -> Optional[_ScheduleSite]:
     """Extract a :class:`_ScheduleSite` from one schedule() call, or None
     when the callback is not a self-method."""
-    is_in = node.func.attr == "schedule_in"
     args = node.args
     time_arg: Optional[ast.AST] = args[0] if args else None
     cb_arg: Optional[ast.AST] = args[1] if len(args) > 1 else None
     has_priority = len(args) > 3
     for kw in node.keywords:
-        if kw.arg in ("time", "delay"):
+        if kw.arg == "time":
             time_arg = kw.value
         elif kw.arg == "callback":
             cb_arg = kw.value
@@ -350,21 +348,14 @@ def _schedule_site(func_name: str, node: ast.Call, resolve_time) -> Optional[_Sc
     const = _const_value(resolved)
     is_now = _contains_now(resolved)
     if const is not None:
-        if is_in:
-            # schedule_in(0) fires at the current cycle; a positive
-            # constant delay lands at now + c — interprocedurally unknown.
-            is_now = is_now or const == 0.0
-            key = f"in:{const:g}"
-            is_const = False
-        else:
-            key = f"const:{const:g}"
-            is_const = True
+        key = f"const:{const:g}"
+        is_const = True
     else:
         try:
             text = ast.unparse(resolved)
         except Exception:  # pragma: no cover - unparse is total on 3.9+
             text = ast.dump(resolved)
-        key = ("in:" if is_in else "") + " ".join(text.split())
+        key = " ".join(text.split())
         is_const = False
     return _ScheduleSite(
         func=func_name,

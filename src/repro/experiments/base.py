@@ -1,13 +1,16 @@
 """Shared experiment infrastructure.
 
-:class:`Runner` is a memoizing front-end to :func:`repro.sim.system.simulate`
-with three result layers:
+:class:`Runner` is a memoizing front-end to the simulator with three
+result layers:
 
 1. an in-process dict keyed by :func:`repro.sim.store.sim_cache_key`,
 2. an optional persistent on-disk cache
    (:class:`repro.sim.store.DiskResultCache`), shared across processes and
    sessions, under the same key,
-3. the simulator itself.
+3. the simulator itself: :func:`repro.sim.system.simulate_point`, which
+   serves each point's workload from a per-process stream LRU, so a grid
+   generates each application's streams once per process, serial or
+   pooled.
 
 Both layers share one identity, so a point's key is derived once — by
 the :func:`~repro.sim.validation.validate_grid` pre-flight in
@@ -50,15 +53,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from repro.analysis.tables import format_dict_table
 from repro.core.designs import DesignSpec
 from repro.sim.config import GPUConfig, SimConfig
-from repro.sim.fleet import (
-    _fleet_run,
-    adaptive_chunksize,
-    get_fleet,
-    order_by_estimated_work,
-)
+from repro.sim.fleet import adaptive_chunksize, get_fleet, order_by_estimated_work
 from repro.sim.results import SimResult
 from repro.sim.store import DiskResultCache, cache_from_env, sim_cache_key
-from repro.sim.system import simulate
+from repro.sim.system import simulate_point
 from repro.sim.validation import validate_grid
 from repro.workloads.profile import AppProfile
 from repro.workloads.suite import get_app
@@ -161,12 +159,6 @@ class ExperimentReport:
             parts.append("paper:    " + ", ".join(
                 f"{k}={_fmt_value(v)}" for k, v in self.paper.items()))
         return "\n".join(parts)
-
-
-def _simulate_point(point: Tuple[AppProfile, DesignSpec, SimConfig]) -> SimResult:
-    """One pure simulation from its frozen inputs (the serial path)."""
-    profile, spec, cfg = point
-    return simulate(profile, spec, cfg)
 
 
 class Runner:
@@ -307,7 +299,7 @@ class Runner:
         key = sim_cache_key(profile, spec, cfg)
         result = self._lookup(key)
         if result is None:
-            result = _simulate_point((profile, spec, cfg))
+            result = simulate_point((profile, spec, cfg))
             self._store_miss(key, result)
         return result
 
@@ -384,7 +376,7 @@ class Runner:
             if width > 1 and len(misses) > 1:
                 path, fresh = self._pool_misses(misses, width, mp_context)
             else:
-                path, fresh = "serial", [_simulate_point(p) for p in misses]
+                path, fresh = "serial", [simulate_point(p) for p in misses]
             self.sweep_paths[path] = self.sweep_paths.get(path, 0) + 1
             for (key, slots), result in zip(pending.items(), fresh):
                 self._store_miss(key, result)
@@ -416,7 +408,7 @@ class Runner:
         chunk = adaptive_chunksize(len(ordered), width)
         try:
             by_point = dict(
-                zip(ordered, pool.map(_fleet_run, ordered, chunksize=chunk))
+                zip(ordered, pool.map(simulate_point, ordered, chunksize=chunk))
             )
         except BrokenProcessPool:
             # A dead executor must never be handed out again; drop it so
@@ -494,7 +486,3 @@ def default_runner() -> Runner:
     if _DEFAULT is None or _DEFAULT.config.scale != env_scale():
         _DEFAULT = Runner()
     return _DEFAULT
-
-
-def profile_for(app) -> AppProfile:
-    return get_app(app) if isinstance(app, str) else app

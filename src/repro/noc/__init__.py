@@ -2,6 +2,6 @@
 
 from repro.noc.crossbar import Crossbar
 from repro.noc.dsent import CrossbarShape, DsentModel
-from repro.noc.topology import NoCTopology, build_topology
+from repro.noc.topology import NoCTopology
 
-__all__ = ["Crossbar", "CrossbarShape", "DsentModel", "NoCTopology", "build_topology"]
+__all__ = ["Crossbar", "CrossbarShape", "DsentModel", "NoCTopology"]

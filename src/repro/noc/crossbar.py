@@ -96,25 +96,12 @@ class Crossbar:
         p.num_served += 1
         return start + occupancy + p.latency
 
-    def inject_out(self, now: float, out_port: int, flits: int) -> float:
-        """Reserve only the output port (for direct-link degenerate cases)."""
-        self.flit_hops += flits
-        t_out = self.out_ports[out_port].reserve(now, flits)
-        if self._ledger is not None:
-            self._ledger.check_reservation(f"{self.name}[->{out_port}]", now, flits, t_out)
-        return t_out
-
     def max_out_utilization(self, total_cycles: float) -> float:
         """Max output-port (reply-link) utilization — the Fig. 2 NoC metric."""
         return self.out_ports.max_utilization(total_cycles)
 
     def max_in_utilization(self, total_cycles: float) -> float:
         return self.in_ports.max_utilization(total_cycles)
-
-    def reset(self) -> None:
-        self.in_ports.reset()
-        self.out_ports.reset()
-        self.flit_hops = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Crossbar({self.name!r}, {self.num_in}x{self.num_out})"

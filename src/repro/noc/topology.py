@@ -287,13 +287,3 @@ class NoCTopology:
         if self.noc1_rep:
             return max(xb.max_out_utilization(cycles) for xb in self.noc1_rep)
         return max(xb.max_out_utilization(cycles) for xb in self.noc2_rep)
-
-
-def build_topology(spec: DesignSpec, num_cores: int, num_l2: int,
-                   cycles_per_flit: float, latency: float,
-                   geometry: Optional[ClusterGeometry] = None,
-                   **kwargs) -> NoCTopology:
-    """Convenience constructor mirroring :class:`NoCTopology`."""
-    return NoCTopology(
-        spec, num_cores, num_l2, cycles_per_flit, latency, geometry, **kwargs
-    )

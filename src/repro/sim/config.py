@@ -226,9 +226,3 @@ class SimConfig:
     race_seed: int = 1
 
     max_events: int = 200_000_000
-
-    def with_scale(self, scale: float) -> "SimConfig":
-        return replace(self, scale=scale)
-
-    def with_scheduler(self, name: str) -> "SimConfig":
-        return replace(self, cta_scheduler=name)

@@ -41,11 +41,10 @@ time**, never per event:
   hot-swaps in :meth:`_schedule_checked`, a slow-path wrapper that
   additionally flags scheduling after the queue drained; detaching
   (``attach_sanitizer(None)``) restores the fast one.
-* :meth:`run` and :meth:`run_until` both funnel into :meth:`_drain`, the
-  single instrumentation-dispatch point.  It picks exactly one drain
-  loop (instrumented > plain) so ``run_until`` gets the same
-  instrumentation as ``run``.  The instrumented loop serves every
-  attached instrument at once, so attaching one never silences another.
+* :meth:`run` is the only drain and the single instrumentation-dispatch
+  point.  It picks exactly one drain loop (instrumented > plain); the
+  instrumented loop serves every attached instrument at once, so
+  attaching one never silences another.
 * Every drain loop localizes the heap, the bucket dict and the event
   counter and flushes the counter back in a ``finally`` — exceptions
   (budget, stall) never lose the count, and a bucket interrupted
@@ -186,23 +185,11 @@ class Engine:
         payload: Any = None,
         priority: int = 0,
     ) -> None:
-        """Sanitizer slow path for :meth:`schedule` (same contract), plus
-        the scheduled-after-drain lifecycle check."""
-        if not (self.now <= time < _INF):
-            raise ValueError(
-                f"cannot schedule event at {time!r} (now={self.now}): "
-                "event times must be finite and not in the past"
-            )
+        """Sanitizer slow path for :meth:`schedule` (same contract): the
+        scheduled-after-drain lifecycle check, then the one schedule body."""
         if self._drained:
             self._sanitizer.scheduled_after_drain(time, callback, payload)
-        key = (time, priority)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            self._buckets[key] = [callback, payload]
-            _heappush(self._heap, key)
-        else:
-            bucket.append(callback)
-            bucket.append(payload)
+        Engine.schedule(self, time, callback, payload, priority)
 
     def schedule_batch(
         self,
@@ -242,67 +229,32 @@ class Engine:
             append(callback)
             append(payload)
 
-    def schedule_in(
-        self,
-        delay: float,
-        callback: Callable[[Any], None],
-        payload: Any = None,
-        priority: int = 0,
-    ) -> None:
-        """Schedule ``callback(payload)`` to run ``delay`` cycles from now."""
-        self.schedule(self.now + delay, callback, payload, priority)
-
     def empty(self) -> bool:
         """True when no events remain."""
         return not self._heap
 
     def run(self) -> float:
-        """Drain the event queue; returns the final simulated time."""
-        return self._drain(_INF)
-
-    def run_until(self, deadline: float) -> float:
-        """Process events with timestamps <= ``deadline``; returns current time.
-
-        Routed through the same instrumented dispatch as :meth:`run`, so
-        an attached watchdog / shuffle RNG / profiler observes deadline
-        runs too (they used to be silently bypassed).
-
-        A non-finite ``deadline`` (``inf`` or ``nan``) means "no deadline"
-        and gets :meth:`run` semantics: drain fully and leave ``now`` at
-        the last event time.  It must never be assigned to ``now`` — that
-        used to leave ``now = inf`` after ``run_until(float("inf"))``,
-        permanently bricking the engine (every later ``schedule()`` raised
-        "must be finite and not in the past").
-        """
-        if not (deadline < _INF) or deadline == -_INF:
-            return self._drain(_INF)
-        self._drain(deadline)
-        if self.now < deadline:
-            self.now = deadline
-        return self.now
-
-    # --------------------------------------------------------------- drain
-
-    def _drain(self, deadline: float) -> float:
-        """Single instrumentation-dispatch point for all drain loops.
+        """Drain the event queue; returns the final simulated time.
 
         Exactly one loop runs.  Any attached instrument (shadow shuffle,
         watchdog, profiler) selects the instrumented loop, which serves
         all of them at once; results are bit-identical either way.
         Otherwise the branch-free plain loop runs.  The drain flag is
-        maintained in a ``finally`` so every exit path (drain, deadline
-        stop, budget error, stall error) agrees: an empty heap IS a full
-        drain, a non-empty one is not.
+        maintained in a ``finally`` so every exit path (drain, budget
+        error, stall error, a raising callback) agrees: an empty heap IS
+        a full drain, a non-empty one is not.
         """
         try:
             if (self._shuffle_rng is not None or self._watchdog is not None
                     or self._profiler is not None):
-                self._drain_instrumented(deadline)
+                self._drain_instrumented()
             else:
-                self._drain_plain(deadline)
+                self._drain_plain()
         finally:
             self._drained = not self._heap
         return self.now
+
+    # --------------------------------------------------------------- drain
 
     def _budget_error(self) -> RuntimeError:
         """The (single) event-budget failure for every drain loop."""
@@ -326,7 +278,7 @@ class Engine:
         else:
             existing[:0] = rest
 
-    def _drain_plain(self, deadline: float) -> None:
+    def _drain_plain(self) -> None:
         """Branch-free production loop: pop a bucket, advance, call each
         entry in FIFO order, count."""
         heap = self._heap
@@ -338,47 +290,27 @@ class Engine:
         bucket: list = []
         i = size = 0
         try:
-            # Value (not identity) check: callers construct their own
-            # infinities, and float("inf") is not interned.  Comparing
-            # against the +inf sentinel is exact by definition.
-            if deadline == _INF:
-                while heap:
-                    key = heap[0]
-                    bucket = buckets.pop(key)
-                    pop(heap)
-                    self.now = key[0]
-                    i = 0
-                    size = len(bucket)
-                    while i < size:
-                        callback = bucket[i]
-                        payload = bucket[i + 1]
-                        i += 2
-                        callback(payload)
-                        n += 1
-                        if n > budget:
-                            raise self._budget_error()
-            else:
-                while heap and heap[0][0] <= deadline:
-                    key = heap[0]
-                    bucket = buckets.pop(key)
-                    pop(heap)
-                    self.now = key[0]
-                    i = 0
-                    size = len(bucket)
-                    while i < size:
-                        callback = bucket[i]
-                        payload = bucket[i + 1]
-                        i += 2
-                        callback(payload)
-                        n += 1
-                        if n > budget:
-                            raise self._budget_error()
+            while heap:
+                key = heap[0]
+                bucket = buckets.pop(key)
+                pop(heap)
+                self.now = key[0]
+                i = 0
+                size = len(bucket)
+                while i < size:
+                    callback = bucket[i]
+                    payload = bucket[i + 1]
+                    i += 2
+                    callback(payload)
+                    n += 1
+                    if n > budget:
+                        raise self._budget_error()
         finally:
             self.events_processed = n
             if i < size:
                 self._requeue_remainder(key, bucket, i)
 
-    def _drain_instrumented(self, deadline: float) -> None:
+    def _drain_instrumented(self) -> None:
         """Drain the queue with every attached instrument observing it,
         one ``is not None`` branch each, so any combination sees the run.
 
@@ -416,7 +348,7 @@ class Engine:
         bucket: list = []
         i = size = 0
         try:
-            while heap and heap[0][0] <= deadline:
+            while heap:
                 key = heap[0]
                 bucket = buckets.pop(key)
                 pop(heap)

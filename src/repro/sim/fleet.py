@@ -11,10 +11,12 @@ fleet builds each one once per process and reuses it:
   worker to spawn and pre-import the sim stack); every later ``acquire()``
   returns the same live pool in microseconds.  ``shutdown()`` is explicit
   and also registered via ``atexit``.
-* **Worker-side stream caching** — :func:`_fleet_run` materializes each
-  point's NumPy access streams through a small per-worker LRU keyed by
-  the *profile* component of the cache key, so a grid that visits the
-  same :class:`~repro.workloads.profile.AppProfile` under many designs
+* **Worker-side stream caching** — workers run
+  :func:`repro.sim.system.simulate_point`, the function a serial miss
+  runs, which materializes each point's NumPy access streams through a
+  small per-process LRU keyed by the *profile* component of the cache
+  key.  A grid that visits the same
+  :class:`~repro.workloads.profile.AppProfile` under many designs
   generates its workload once per worker, not once per point.  Cache
   hits are bit-identical to recomputation (generation is a pure function
   of the profile and scale), so results cannot depend on hit/miss luck.
@@ -38,29 +40,17 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import time
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.sim.results import SimResult
-from repro.sim.store import profile_cache_key
-from repro.sim.system import simulate
-from repro.workloads.generator import Workload, generate_workload
-
 __all__ = [
-    "STREAM_CACHE_CAP",
     "WorkerFleet",
     "adaptive_chunksize",
     "estimate_work",
     "order_by_estimated_work",
-    "materialize_workload",
     "get_fleet",
     "shutdown_fleet",
 ]
-
-#: Capacity of the per-worker workload LRU: the number of distinct
-#: (profile, scale) stream sets one worker keeps alive.
-STREAM_CACHE_CAP = 8
 
 
 # ------------------------------------------------------- scheduling helpers
@@ -101,43 +91,13 @@ def order_by_estimated_work(points: Sequence[Tuple]) -> List[Tuple]:
 
 # ------------------------------------------------------ worker-side helpers
 
-#: Per-worker workload LRU: (profile key, scale) -> materialized
-#: :class:`Workload`.  Generation is a pure function of the key, so a hit
-#: is bit-identical to recomputation, and entries never flow back to the
-#: parent — each pool process simply avoids regenerating streams it has
-#: already built.  ``TestStreamCache`` and ``TestFleetIdentity`` in
-#: ``tests/test_fleet.py`` hold that: a hit equals fresh generation, and a
-#: warm pool reused across sweeps matches serial bit for bit.
-_STREAM_CACHE: "OrderedDict[Tuple[str, float], Workload]" = OrderedDict()
-
-
-def materialize_workload(profile, scale: float) -> Workload:
-    """The workload for ``profile`` at ``scale``, served from the
-    per-process LRU when possible.
-
-    Safe to share across simulations in one process: ``GPUSystem`` only
-    *reads* a workload's streams (wavefronts copy the line/kind arrays at
-    bind time), and generation is deterministic, so a cached workload is
-    indistinguishable from a fresh one.
-    """
-    key = (profile_cache_key(profile), float(scale))
-    wl = _STREAM_CACHE.get(key)
-    if wl is None:
-        wl = generate_workload(profile, scale)
-        _STREAM_CACHE[key] = wl
-        while len(_STREAM_CACHE) > STREAM_CACHE_CAP:
-            _STREAM_CACHE.popitem(last=False)
-    else:
-        _STREAM_CACHE.move_to_end(key)
-    return wl
-
-
 def _fleet_warm_init() -> None:
     """Pool initializer: pre-import the sim stack so the first real task
-    a worker receives does not pay import latency.  Everything imported
-    here is already a (transitive) import of this module, so under fork
-    this is a no-op and under spawn it front-loads the worker's import
-    cost into the warm barrier."""
+    a worker receives does not pay import latency.  A forking parent has
+    already imported all of it (the ``Runner`` driving the fleet lives in
+    ``repro.experiments.base``), so under fork this is a no-op; under
+    spawn it front-loads the worker's import cost into the warm
+    barrier."""
     import repro.experiments.base      # noqa: F401
     import repro.sim.system            # noqa: F401
     import repro.workloads.suite       # noqa: F401
@@ -148,13 +108,6 @@ def _fleet_warm(index: int) -> int:
     executor creates them lazily) and proves each can round-trip a task.
     Returns its pid so the barrier can report how many workers answered."""
     return os.getpid()
-
-
-def _fleet_run(point: Tuple) -> SimResult:
-    """Fleet pool worker: one simulation of a resolved (profile, spec,
-    config) point, with its workload served from the stream LRU."""
-    profile, spec, cfg = point
-    return simulate(materialize_workload(profile, cfg.scale), spec, cfg)
 
 
 # ------------------------------------------------------------ the fleet

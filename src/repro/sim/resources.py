@@ -114,18 +114,6 @@ class Server:
         u = self.busy_cycles / total_cycles
         return u if u < 1.0 else 1.0
 
-    def reset(self) -> None:
-        """Clear all reservation and accounting state, including the
-        sanitizer/watchdog holder mirror — a stale holder on a reset
-        server would otherwise surface as a phantom leak in the next
-        run's wait graph.  The attached ledger is wiring, not state, and
-        survives the reset."""
-        self.next_free = 0.0
-        self.busy_cycles = 0.0
-        self.num_served = 0
-        self.holder = None
-        self.holder_since = 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Server({self.name!r}, service={self.service}, latency={self.latency}, "
@@ -164,17 +152,6 @@ class ServerGroup:
     def total_served(self) -> int:
         """Total transactions served by the whole group."""
         return sum(s.num_served for s in self.servers)
-
-    def attach_sanitizer(self, ledger) -> None:
-        """Attach one ledger to every server in the group."""
-        for s in self.servers:
-            s.attach_sanitizer(ledger)
-
-    def reset(self) -> None:
-        """Reset every server, holder mirrors included (see
-        :meth:`Server.reset`)."""
-        for s in self.servers:
-            s.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ServerGroup({self.name!r}, n={len(self.servers)})"

@@ -224,9 +224,10 @@ def profile_cache_key(profile: AppProfile) -> str:
     :func:`sim_cache_key` alone.
 
     Two grid points share this key exactly when they would generate the
-    same workload at the same scale — the sharing SimFleet's per-worker
-    stream cache exploits to materialize access streams once per worker
-    instead of once per point.  Canonicalization matches the full key
+    same workload at the same scale — the sharing the per-process stream
+    cache (:func:`repro.sim.system.materialize_workload`) exploits to
+    materialize access streams once per process instead of once per
+    point.  Canonicalization matches the full key
     (fingerprint-neutral fields like ``AppProfile.suite`` are excluded),
     so two profiles differing only in neutral fields share streams.
     """

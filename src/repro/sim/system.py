@@ -49,16 +49,21 @@ the fast/slow split once, at build time:
 Every specialization preserves arithmetic exactly; the fingerprint
 identity of fast vs. instrumented runs is enforced by
 ``tests/test_simturbo.py``.
+
+Sweep misses, serial and pooled, run through :func:`simulate_point`,
+which serves each point's workload from a per-process stream LRU
+(:func:`materialize_workload`): a grid that visits one application
+under many designs generates its streams once per process.
 """
 
 from __future__ import annotations
 
 import gc
 import math
-from collections import deque
+from collections import OrderedDict, deque
 from heapq import heappush as _heappush
 from time import perf_counter
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.directory import ReplicationDirectory
@@ -77,6 +82,7 @@ from repro.sim.config import SimConfig
 from repro.sim.engine import Engine
 from repro.sim.resources import Server
 from repro.sim.results import SimResult
+from repro.sim.store import profile_cache_key
 from repro.sim.watchdog import StallWatchdog, build_wait_graph
 from repro.workloads.generator import Workload, generate_workload
 from repro.workloads.profile import AppProfile
@@ -172,14 +178,10 @@ class GPUSystem:
         if self.cfg.watchdog:
             self._attach_watchdog()
 
-        # Slow-path reference knob (see force_slow_path): when set,
-        # _wire_hot_path keeps the instrumented slow twins even with no
-        # ledger attached.  Deliberately *not* a SimConfig field — it
-        # must never perturb sim_cache_key or the fingerprint contract.
-        self._force_slow = False
         # SimVec confirmer knob (see force_scalar_dispatch): when set,
         # the fast wiring installs no fused handler, so every event runs
-        # its scalar fast handler.  Same non-config rationale as above.
+        # its scalar fast handler.  Deliberately *not* a SimConfig field:
+        # it must never perturb sim_cache_key or the fingerprint contract.
         self._force_scalar = False
 
         # Resolve the fast/slow hot-path split — must run last: it
@@ -194,14 +196,15 @@ class GPUSystem:
         methods they replace, so every handler has exactly one code shape;
         which implementation runs was decided here, not per event.
         """
-        # Re-wiring (force_slow_path / force_scalar_dispatch) starts from
-        # the scalar methods: drop the fused handlers a fused wiring
-        # installed over them, and no other instance attribute (a
-        # RequestTrace wraps _complete the same way).
+        # Re-wiring (force_scalar_dispatch) starts from the scalar
+        # methods: drop the fused handlers a fused wiring installed over
+        # them, and no other instance attribute (a RequestTrace wraps
+        # _complete the same way).
         if getattr(self, "dispatch_tier", None) == "fused":
             for name in _FUSED_HANDLERS:
                 del self.__dict__[name]
-        self._fast = self._ledger is None and not self._force_slow
+        # The slow twins are wired exactly when a ledger is attached.
+        self._fast = self._ledger is None
         # Captures the sanitizer-checked wrapper when a ledger swapped it
         # in.  Named ``schedule`` (not ``_schedule``) on purpose: SimRace
         # recognizes scheduling by attribute name, and the prebound hop
@@ -264,28 +267,14 @@ class GPUSystem:
         else:
             self.dispatch_tier = "scalar" if fused is None else "fused"
 
-    def force_slow_path(self) -> None:
-        """Re-wire the system onto the instrumented slow twins, the
-        reference side of the twin-path tests (tests/test_simturbo.py,
-        tests/test_prop_simvec.py).  Safe before the first event: all
-        batched counters are still zero, and the slow twins run correctly
-        with no ledger attached (``_note`` no-ops, ``_issue_cold`` skips
-        the acquire, the owner mirror on ``reserve`` is inert).  The
-        resulting run must be bit-identical to the fast wiring — that
-        identity *is* the twin-path contract."""
-        if self._ran:
-            raise RuntimeError("force_slow_path() must be called before run()")
-        self._force_slow = True
-        self._wire_hot_path()
-
     def force_scalar_dispatch(self) -> None:
         """Re-wire with SimVec fused dispatch disabled: the fast wiring
         stays, but every event runs its scalar fast handler (the SimVec
         differential confirmer).  The resulting run must be
         bit-identical to fused dispatch — that identity *is* the fused
-        handlers' contract, enforced by tests/test_simturbo.py.  Like
-        :meth:`force_slow_path`, deliberately not a SimConfig field: it
-        must never perturb sim_cache_key or the fingerprint contract."""
+        handlers' contract, enforced by tests/test_simturbo.py.
+        Deliberately not a SimConfig field: it must never perturb
+        sim_cache_key or the fingerprint contract."""
         if self._ran:
             raise RuntimeError("force_scalar_dispatch() must be called before run()")
         self._force_scalar = True
@@ -1309,3 +1298,51 @@ def simulate(
 ) -> SimResult:
     """Build and run one simulation; the one-call public entry point."""
     return GPUSystem(workload, spec, config).run()
+
+
+# ------------------------------------------------------- sweep grid points
+
+#: Capacity of the per-process workload LRU: the number of distinct
+#: (profile, scale) stream sets one process keeps alive.
+STREAM_CACHE_CAP = 8
+
+#: Per-process workload LRU: (profile key, scale) -> materialized
+#: :class:`Workload`.  Generation is a pure function of the key, so a hit
+#: is bit-identical to recomputation.  A serial sweep and each pool
+#: worker keep their own copy; entries never cross a process boundary.
+#: ``TestStreamCache`` in ``tests/test_fleet.py`` and the sweep identity
+#: tests hold that: a hit equals fresh generation, and serial, pooled
+#: and warm-reuse sweeps match bit for bit.
+_STREAM_CACHE: "OrderedDict[Tuple[str, float], Workload]" = OrderedDict()
+
+
+def materialize_workload(profile: AppProfile, scale: float) -> Workload:
+    """The workload for ``profile`` at ``scale``, served from the
+    per-process LRU when possible.
+
+    Safe to share across simulations in one process: ``GPUSystem`` only
+    *reads* a workload's streams (wavefronts copy the line/kind arrays at
+    bind time), and generation is deterministic, so a cached workload is
+    indistinguishable from a fresh one.  A miss calls this module's
+    :func:`generate_workload`, the name ``perfbench``'s traced runs wrap
+    to time generation (their ``workloads.generate`` span).
+    """
+    key = (profile_cache_key(profile), float(scale))
+    wl = _STREAM_CACHE.get(key)
+    if wl is None:
+        wl = generate_workload(profile, scale)
+        _STREAM_CACHE[key] = wl
+        while len(_STREAM_CACHE) > STREAM_CACHE_CAP:
+            _STREAM_CACHE.popitem(last=False)
+    else:
+        _STREAM_CACHE.move_to_end(key)
+    return wl
+
+
+def simulate_point(point: Tuple[AppProfile, DesignSpec, SimConfig]) -> SimResult:
+    """One simulation of a resolved ``(profile, spec, config)`` sweep
+    point, its workload served from the stream LRU.  Every sweep miss
+    runs here, serial and pooled alike (``Runner.run``,
+    ``Runner.run_many`` and the fleet's workers)."""
+    profile, spec, cfg = point
+    return simulate(materialize_workload(profile, cfg.scale), spec, cfg)

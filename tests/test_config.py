@@ -68,10 +68,5 @@ class TestSimConfig:
         assert cfg.cta_scheduler == "round_robin"
         assert cfg.l1_latency_override is None
 
-    def test_with_scale_and_scheduler(self):
-        cfg = SimConfig().with_scale(0.5).with_scheduler("distributed")
-        assert cfg.scale == 0.5
-        assert cfg.cta_scheduler == "distributed"
-
     def test_hashable_for_runner_cache(self):
         assert hash(SimConfig()) == hash(SimConfig())

@@ -37,7 +37,7 @@ class TestTraversal:
     def test_flit_hops_accumulate(self):
         xb = Crossbar("x", 2, 2, 1.0, 0.0)
         xb.traverse(0.0, 0, 0, 3)
-        xb.inject_out(0.0, 1, 2)
+        xb.traverse(0.0, 1, 1, 2)
         assert xb.flit_hops == 5
 
 
@@ -55,13 +55,6 @@ class TestUtilization:
         xb.traverse(0.0, 0, 1, 4)
         assert xb.max_out_utilization(8.0) == pytest.approx(0.5)
         assert xb.max_in_utilization(8.0) == pytest.approx(0.5)
-
-    def test_reset(self):
-        xb = Crossbar("x", 2, 2, 1.0, 0.0)
-        xb.traverse(0.0, 0, 0, 1)
-        xb.reset()
-        assert xb.flit_hops == 0
-        assert xb.max_out_utilization(10.0) == 0.0
 
 
 class TestValidation:

@@ -1,7 +1,5 @@
 """Unit tests for the discrete-event engine."""
 
-import math
-
 import pytest
 
 from repro.sim.engine import Engine
@@ -27,19 +25,6 @@ def test_ties_break_fifo():
     assert order == list(range(10))
 
 
-def test_schedule_in_is_relative():
-    seen = []
-    eng = Engine()
-
-    def later(_):
-        eng.schedule_in(4.0, seen.append, eng.now + 4.0)
-
-    eng.schedule(2.0, later, None)
-    eng.run()
-    assert seen == [6.0]
-    assert eng.now == 6.0
-
-
 def test_events_can_schedule_more_events():
     count = [0]
     eng = Engine()
@@ -47,7 +32,7 @@ def test_events_can_schedule_more_events():
     def chain(n):
         count[0] += 1
         if n > 0:
-            eng.schedule_in(1.0, chain, n - 1)
+            eng.schedule(eng.now + 1.0, chain, n - 1)
 
     eng.schedule(0.0, chain, 9)
     eng.run()
@@ -67,23 +52,11 @@ def test_event_budget_guards_livelock():
     eng = Engine(max_events=100)
 
     def forever(_):
-        eng.schedule_in(1.0, forever, None)
+        eng.schedule(eng.now + 1.0, forever, None)
 
     eng.schedule(0.0, forever, None)
     with pytest.raises(RuntimeError, match="event budget"):
         eng.run()
-
-
-def test_run_until_stops_at_deadline():
-    seen = []
-    eng = Engine()
-    for t in (1.0, 2.0, 3.0, 4.0):
-        eng.schedule(t, seen.append, t)
-    eng.run_until(2.5)
-    assert seen == [1.0, 2.0]
-    assert eng.now == 2.5
-    eng.run()
-    assert seen == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_empty_property():
@@ -124,78 +97,32 @@ def test_priority_does_not_cross_timestamps():
 
 
 def test_run_until_full_drain_sets_drained_flag():
+    """A drain that empties the queue sets the drained flag.  (Named for
+    the deadline drain it once went through; run() is now the only one.)"""
     eng = Engine()
     eng.schedule(1.0, lambda _: None, None)
-    eng.run_until(10.0)
+    eng.run()
     assert eng._drained
 
 
 def test_run_until_partial_drain_clears_drained_flag():
+    """A drain that stops with events still queued clears the flag; the
+    run that then empties the queue sets it again."""
     eng = Engine()
     eng.schedule(1.0, lambda _: None, None)
     eng.run()
     assert eng._drained
+
+    def stop(_):
+        raise ValueError("stop")
+
+    eng.schedule(3.0, stop, None)
     eng.schedule(5.0, lambda _: None, None)
-    eng.run_until(3.0)  # leaves the 5.0 event queued
+    with pytest.raises(ValueError, match="stop"):
+        eng.run()  # leaves the 5.0 event queued
     assert not eng._drained
     eng.run()
     assert eng._drained
-
-
-def test_run_until_inf_drains_fully_without_bricking():
-    """Regression: ``run_until(float("inf"))`` used to assign ``now = inf``,
-    after which every later ``schedule()`` raised "must be finite and not
-    in the past" — the engine was permanently bricked.  A non-finite
-    deadline now means "no deadline": full drain, ``now`` left at the
-    last event time, engine still schedulable."""
-    seen = []
-    eng = Engine()
-    for t in (1.0, 2.0, 3.0):
-        eng.schedule(t, seen.append, t)
-    end = eng.run_until(float("inf"))
-    assert seen == [1.0, 2.0, 3.0]
-    assert end == 3.0 and eng.now == 3.0
-    assert math.isfinite(eng.now)
-    # the brick: this schedule used to raise
-    eng.schedule(4.0, seen.append, 4.0)
-    eng.run()
-    assert seen == [1.0, 2.0, 3.0, 4.0]
-
-
-def test_run_until_inf_on_empty_engine_keeps_time_finite():
-    eng = Engine()
-    assert eng.run_until(float("inf")) == 0.0
-    assert eng.now == 0.0
-    eng.schedule(1.0, lambda _: None, None)  # must not raise
-    eng.run()
-
-
-@pytest.mark.parametrize("deadline", [float("nan"), float("-inf")])
-def test_run_until_other_nonfinite_deadlines_mean_no_deadline(deadline):
-    """The other half of the normalization: ``nan`` and ``-inf`` can't be
-    meaningful deadlines either (``now <= nan`` is always false, and a
-    ``-inf`` deadline would "complete" without processing anything while
-    claiming time went backwards) — both get run() semantics instead of
-    being assigned to ``now``."""
-    seen = []
-    eng = Engine()
-    for t in (1.0, 2.0):
-        eng.schedule(t, seen.append, t)
-    end = eng.run_until(deadline)
-    assert seen == [1.0, 2.0]
-    assert end == 2.0 and eng.now == 2.0
-    eng.schedule(3.0, seen.append, 3.0)
-    eng.run()
-    assert seen == [1.0, 2.0, 3.0]
-
-
-def test_run_until_finite_deadline_still_advances_now():
-    """The normalization must not leak into the finite case: a finite
-    deadline past the last event still fast-forwards ``now`` to it."""
-    eng = Engine()
-    eng.schedule(1.0, lambda _: None, None)
-    assert eng.run_until(10.0) == 10.0
-    assert eng.now == 10.0
 
 
 def test_shuffle_mode_is_deterministic_per_seed():
@@ -257,7 +184,7 @@ def test_shuffle_counts_batches_and_pairs():
     assert sum(eng.batch_pairs.values()) == 1
 
 
-# ------------------------------------------------ run_until instrumentation
+# ------------------------------------------------------------ drain loops
 
 class _CountingWatchdog:
     """Minimal watchdog double: records every engine callback."""
@@ -274,18 +201,22 @@ class _CountingWatchdog:
 
 
 def test_run_until_feeds_the_watchdog():
-    """Deadline-bounded drains must route through the watchdog loop;
-    run_until used to silently bypass every instrumentation layer."""
+    """Every drain routes through the watchdog loop, and a second run()
+    resumes its counts.  (Named for the deadline drain that once bypassed
+    every instrument; run() is now the only drain.)"""
     wd = _CountingWatchdog()
     eng = Engine()
     eng.attach_watchdog(wd)
-    for t in (1.0, 2.0, 3.0, 4.0):
+    for t in (1.0, 2.0):
         eng.schedule(t, lambda _: None, None)
-    eng.run_until(2.5)
+    eng.run()
     assert wd.events == 2
     assert wd.advances == 2
+    for t in (3.0, 4.0):
+        eng.schedule(t, lambda _: None, None)
     eng.run()
     assert wd.events == 4
+    assert wd.advances == 4
 
 
 def test_run_until_feeds_the_profiler():
@@ -294,10 +225,11 @@ def test_run_until_feeds_the_profiler():
     prof = EventProfiler()
     eng = Engine()
     eng.attach_profiler(prof)
-    for t in (1.0, 2.0, 3.0):
+    for t in (1.0, 2.0):
         eng.schedule(t, lambda _: None, None)
-    eng.run_until(2.5)
+    eng.run()
     assert prof.total_events == 2
+    eng.schedule(3.0, lambda _: None, None)
     eng.run()
     assert prof.total_events == 3
 
@@ -308,7 +240,7 @@ def test_run_until_feeds_the_shuffle_rng():
     b = []
     eng.schedule(1.0, a.append, 1)
     eng.schedule(1.0, b.append, 1)
-    eng.run_until(2.0)
+    eng.run()
     assert eng.shuffled_batches == 1
     assert len(eng.batch_pairs) == 1
 
@@ -332,16 +264,15 @@ def _engine(instrument, **kwargs):
 
 @pytest.mark.parametrize("instrument", DRAIN_LOOPS)
 def test_event_budget_is_enforced_in_every_drain_loop(instrument):
-    """One budget check, one message, every loop (including under a
-    deadline — run_until used to carry its own diverging copy)."""
+    """One budget check, one message, every loop."""
     eng = _engine(instrument, max_events=50)
 
     def forever(_):
-        eng.schedule_in(1.0, forever, None)
+        eng.schedule(eng.now + 1.0, forever, None)
 
     eng.schedule(0.0, forever, None)
     with pytest.raises(RuntimeError, match="event budget"):
-        eng.run_until(1e9)
+        eng.run()
     assert eng.events_processed == 51  # counter survives the raise
 
 
@@ -366,9 +297,11 @@ def test_raising_callback_requeues_the_rest_of_its_bucket(instrument):
         eng.schedule(1.0, handler(tag), None)
     with pytest.raises(ValueError, match="boom"):
         eng.run()
+    assert not eng._drained  # an interrupted drain is not a full drain
     eng.run()
     assert sorted(ran) == [0, 1, 2, 3, 4, 5]
     assert eng.empty()
+    assert eng._drained
 
 
 def test_instrumented_drains_preserve_event_order():

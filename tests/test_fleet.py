@@ -1,6 +1,6 @@
-"""Tests for SimFleet: the persistent warm worker pool, the per-worker
-stream cache, adaptive scheduling, and the parent-side handling of
-pooled results.
+"""Tests for SimFleet: the persistent warm worker pool, the per-process
+stream cache every sweep miss reads (``repro.sim.system``), adaptive
+scheduling, and the parent-side handling of pooled results.
 
 The load-bearing property throughout is *identity*: fork vs spawn and
 cold vs warm pools are pure orchestration choices — every path must
@@ -24,17 +24,19 @@ import repro.experiments.base as base_mod
 from repro.experiments.base import BASELINE, PROPOSED_DESIGNS, Runner
 from repro.sim.config import SimConfig
 from repro.sim.fleet import (
-    STREAM_CACHE_CAP,
     WorkerFleet,
-    _STREAM_CACHE,
     adaptive_chunksize,
     estimate_work,
     get_fleet,
-    materialize_workload,
     order_by_estimated_work,
     shutdown_fleet,
 )
 from repro.sim.store import DiskResultCache, sim_cache_key
+from repro.sim.system import (
+    STREAM_CACHE_CAP,
+    _STREAM_CACHE,
+    materialize_workload,
+)
 from repro.workloads.generator import generate_workload
 from repro.workloads.suite import get_app
 
@@ -320,7 +322,7 @@ def test_worker_death_drops_the_pool_and_the_next_sweep_recovers(
     serial.run_many(GRID, jobs=1)
 
     shutdown_fleet()
-    monkeypatch.setattr(base_mod, "_fleet_run", _die)
+    monkeypatch.setattr(base_mod, "simulate_point", _die)
     doomed = fresh_runner()
     with pytest.raises(BrokenProcessPool):
         sweep(doomed, mp_context="fork")

@@ -3,10 +3,10 @@ bit-invisible on *random* small workloads and designs, not just the
 hand-picked grid points in tests/test_simturbo.py.
 
 Every example runs the same (profile, design) config twice — once with
-its production wiring, once with ``force_scalar_dispatch()`` — and
-requires a single fingerprint ("batched" in the test names means the
-production wiring).  Only the single-cluster shared design installs
-fused handlers; the others drain on scalar dispatch both times.  The
+its production wiring ("fused" in the test names), once with
+``force_scalar_dispatch()`` — and requires a single fingerprint.  Only
+the single-cluster shared design installs fused handlers; the others
+drain on scalar dispatch both times.  The
 profile strategy deliberately spans the shapes the fused handlers
 branch on: stores/atomics/bypasses (the fused issue hands such accesses
 to the scalar ``_wf_issue``), MLP > 1 (the fused re-issue push), tiny
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.designs import DesignSpec
 from repro.sim.config import GPUConfig, SimConfig
-from repro.sim.system import GPUSystem
+from repro.sim.system import GPUSystem, simulate
 from repro.workloads.profile import AppProfile
 
 TINY_GPU = GPUConfig(num_cores=8, num_l2_slices=4, num_channels=2)
@@ -59,24 +59,21 @@ profiles = st.builds(
 class TestSimVecProperties:
     @given(profiles, designs)
     @settings(max_examples=40, deadline=None)
-    def test_batched_fingerprint_equals_scalar(self, profile, spec):
+    def test_fused_fingerprint_equals_scalar(self, profile, spec):
         cfg = SimConfig(gpu=TINY_GPU)
-        batched = GPUSystem(profile, spec, cfg).run()
+        fused = GPUSystem(profile, spec, cfg).run()
         scalar_sys = GPUSystem(profile, spec, cfg)
         scalar_sys.force_scalar_dispatch()
         scalar = scalar_sys.run()
-        assert batched.fingerprint() == scalar.fingerprint()
+        assert fused.fingerprint() == scalar.fingerprint()
 
     @given(profiles)
     @settings(max_examples=10, deadline=None)
-    def test_batched_fingerprint_equals_slow_on_shared(self, profile):
+    def test_fused_fingerprint_equals_sanitized_on_shared(self, profile):
         """Three-way anchor on the decoupled shape that engages the fused
-        handlers: batched == forced-slow closes the loop scalar parity
-        alone would leave open."""
+        handlers: fused == sanitized (the slow twins) closes the loop
+        scalar parity alone would leave open."""
         spec = DesignSpec.shared(4)
-        cfg = SimConfig(gpu=TINY_GPU)
-        batched = GPUSystem(profile, spec, cfg).run()
-        slow_sys = GPUSystem(profile, spec, cfg)
-        slow_sys.force_slow_path()
-        slow = slow_sys.run()
-        assert batched.fingerprint() == slow.fingerprint()
+        fused = simulate(profile, spec, SimConfig(gpu=TINY_GPU))
+        slow = simulate(profile, spec, SimConfig(gpu=TINY_GPU, sanitize=True))
+        assert fused.fingerprint() == slow.fingerprint()

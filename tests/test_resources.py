@@ -46,14 +46,6 @@ class TestServer:
         assert s.peek_start(5.0) == 5.0
         assert s.num_served == 1
 
-    def test_reset(self):
-        s = Server("s", service=2.0)
-        s.reserve(0.0)
-        s.reset()
-        assert s.next_free == 0.0
-        assert s.busy_cycles == 0.0
-        assert s.num_served == 0
-
     def test_negative_timing_rejected(self):
         with pytest.raises(ValueError):
             Server("bad", service=-1.0)
@@ -80,12 +72,6 @@ class TestServerGroup:
         g[0].reserve(0.0)
         g[2].reserve(0.0)
         assert g.total_served() == 2
-
-    def test_reset_clears_all(self):
-        g = ServerGroup("g", 2, service=1.0)
-        g[0].reserve(0.0)
-        g.reset()
-        assert g.total_served() == 0
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
@@ -123,24 +109,6 @@ class TestHolderAttribution:
         s.reserve(0.0)
         assert s.current_holder(1.0) is None
 
-    def test_reset_clears_holder_mirror_but_keeps_ledger(self):
-        s = Server("s", service=2.0)
-        ledger = _RecordingLedger()
-        s.attach_sanitizer(ledger)
-        s.reserve(0.0, owner="req")
-        s.reset()
-        assert s.holder is None
-        assert s.holder_since == 0.0
-        assert s.current_holder(0.0) is None
-        assert s.ledger is ledger  # wiring survives; state does not
-
-    def test_group_reset_clears_every_holder(self):
-        g = ServerGroup("g", 2, service=1.0)
-        g[0].reserve(0.0, owner="a")
-        g[1].reserve(0.0, owner="b")
-        g.reset()
-        assert all(s.holder is None for s in g)
-
     def test_attached_ledger_sees_every_reservation(self):
         s = Server("s", service=2.0, latency=1.0)
         ledger = _RecordingLedger()
@@ -148,12 +116,6 @@ class TestHolderAttribution:
         s.reserve(0.0)
         s.reserve(0.0, size=2.0)
         assert ledger.calls == [("s", 0.0, 1.0, 3.0), ("s", 2.0, 2.0, 7.0)]
-
-    def test_group_attach_reaches_all_servers(self):
-        g = ServerGroup("g", 3, service=1.0)
-        ledger = _RecordingLedger()
-        g.attach_sanitizer(ledger)
-        assert all(s.ledger is ledger for s in g)
 
 
 _times = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)

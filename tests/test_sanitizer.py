@@ -283,5 +283,7 @@ def test_engine_rejects_nonfinite_times():
         eng.schedule(math.inf, lambda _: None)
     with pytest.raises(ValueError):
         eng.schedule(-1.0, lambda _: None)
+    eng.schedule(1.0, lambda _: None)
+    eng.run()
     with pytest.raises(ValueError):
-        eng.schedule_in(math.nan, lambda _: None)
+        eng.schedule(eng.now + math.nan, lambda _: None)

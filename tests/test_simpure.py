@@ -154,7 +154,7 @@ def test_set_literal_iteration_is_flagged():
         """
         def wake(engine, cores):
             for c in {1, 2, 3}:
-                engine.schedule_in(1.0, cores[c].wake)
+                engine.schedule(1.0, cores[c].wake)
         """
     )
     assert [f.rule_id for f in findings] == ["SP401"]

@@ -41,8 +41,8 @@ GOLDEN = {
     ("C-NN", "Pr40", 0.1):
         "3d7420f339d77165d82b1d6bfd1e37a47a83d9921a589796dfa392d6cd8538e4",
     # Decoupled clustered point (exercises the closure-mode fast homing
-    # and the clustered crossbar route twins); captured after
-    # force_slow_path() verified fast == slow bit-exactly.
+    # and the clustered crossbar route twins); captured after a
+    # slow-path run verified fast == slow bit-exactly.
     ("C-SP", "Sh40+C10", 0.1):
         "1ecc857dbe6d98ba36ad8122f1dce347a78e24c2679ddfc7938688327321a512",
 }
@@ -202,31 +202,27 @@ def test_fast_home_of_matches_home_of():
                 assert fast(core, line) == sys_.home.home_of(core, line)
 
 
-# ------------------------------------------------- forced slow-path parity
+# ------------------------------------------------------- slow-path parity
 #
-# GPUSystem.force_slow_path() is the reference side of every twin-path
-# test: it unwires the hot path without touching SimConfig (so the cache
-# key and fingerprint inputs are untouched) and the slow twins carry the
-# whole simulation.  Fast and forced-slow runs must be bit-identical for
-# every access kind the issue path dispatches on.
+# A sanitized run is the reference side of every twin-path test: its
+# ledger wires the slow twins (``dispatch_tier == "slow"``), which carry
+# the whole simulation.  Fast and sanitized runs must be bit-identical
+# for every access kind the issue path dispatches on.
 
 
 def _twin_hashes(app, spec, scale=0.05):
-    cfg = SimConfig(scale=scale)
-    fast = GPUSystem(app, spec, cfg).run()
-    slow_sys = GPUSystem(app, spec, cfg)
-    slow_sys.force_slow_path()
-    slow = slow_sys.run()
+    fast = simulate(app, spec, SimConfig(scale=scale))
+    slow = simulate(app, spec, SimConfig(scale=scale, sanitize=True))
     return fingerprint_hash(fast), fingerprint_hash(slow)
 
 
-def test_forced_slow_path_parity_store_heavy():
+def test_slow_path_parity_store_heavy():
     # C-SP's store fraction drives the STORE branch of _issue_cold.
     fast, slow = _twin_hashes(get_app("C-SP"), DesignSpec.shared(40))
     assert fast == slow
 
 
-def test_forced_slow_path_parity_atomic_and_bypass():
+def test_slow_path_parity_atomic_and_bypass():
     import dataclasses
 
     app = dataclasses.replace(
@@ -236,17 +232,9 @@ def test_forced_slow_path_parity_atomic_and_bypass():
     assert fast == slow
 
 
-def test_forced_slow_path_parity_decoupled_design():
+def test_slow_path_parity_decoupled_design():
     fast, slow = _twin_hashes(get_app("T-AlexNet"), DesignSpec.cdxbar())
     assert fast == slow
-
-
-def test_force_slow_path_rejected_after_run():
-    sys_ = GPUSystem(get_app("P-2MM"), DesignSpec.shared(40),
-                     SimConfig(scale=0.05))
-    sys_.run()
-    with pytest.raises(RuntimeError):
-        sys_.force_slow_path()
 
 
 def test_memory_request_reinit_resets_every_slot():
@@ -295,25 +283,23 @@ def test_wavefront_materializes_streams_to_plain_ints():
 #
 # GPUSystem.force_scalar_dispatch() is the SimVec differential confirmer:
 # same fast wiring, but every event runs its scalar fast handler instead
-# of the fused handler installed over it.  Fused ("batched" in the test
-# names), scalar and forced-slow runs of one config must produce one
-# fingerprint — that identity is the fused handlers' whole contract.
-# Only the single-cluster Sh40 shape installs fused handlers; every other
-# design drains on scalar dispatch, so its "batched" run is a scalar run
-# and the point checks scalar == slow.
+# of the fused handler installed over it.  Production ("fused"), scalar
+# and sanitized (slow) runs of one config must produce one fingerprint —
+# that identity is the fused handlers' whole contract.  Only the
+# single-cluster Sh40 shape installs fused handlers; every other design
+# drains on scalar dispatch, so its production run is a scalar run and
+# the point checks scalar == slow.
 
 
 def _three_way_hashes(app, spec, scale=0.1, **cfg_kw):
     cfg = SimConfig(scale=scale, **cfg_kw)
-    batched = GPUSystem(app, spec, cfg).run()
+    fused = GPUSystem(app, spec, cfg).run()
     scalar_sys = GPUSystem(app, spec, cfg)
     scalar_sys.force_scalar_dispatch()
     scalar = scalar_sys.run()
-    slow_sys = GPUSystem(app, spec, cfg)
-    slow_sys.force_slow_path()
-    slow = slow_sys.run()
+    slow = simulate(app, spec, SimConfig(scale=scale, sanitize=True, **cfg_kw))
     return (
-        fingerprint_hash(batched), fingerprint_hash(scalar),
+        fingerprint_hash(fused), fingerprint_hash(scalar),
         fingerprint_hash(slow),
     )
 
@@ -329,19 +315,19 @@ def _three_way_hashes(app, spec, scale=0.1, **cfg_kw):
         ("T-AlexNet", "Sh40+C10"),   # clustered, load-heavy
     ],
 )
-def test_batched_dispatch_matches_scalar_and_slow(app_name, design):
-    b, s, sl = _three_way_hashes(get_app(app_name), DESIGNS[design])
-    assert b == s, f"batched != scalar on {app_name}/{design}"
-    assert b == sl, f"batched != slow on {app_name}/{design}"
+def test_fused_dispatch_matches_scalar_and_sanitized(app_name, design):
+    f, s, sl = _three_way_hashes(get_app(app_name), DESIGNS[design])
+    assert f == s, f"fused != scalar on {app_name}/{design}"
+    assert f == sl, f"fused != sanitized on {app_name}/{design}"
 
 
-def test_batched_dispatch_matches_scalar_with_q1_credits():
+def test_fused_dispatch_matches_scalar_with_q1_credits():
     # Finite node queues route issue through _enter_node; the fused
     # handlers must decline and scalar dispatch must still be bit-exact.
-    b, s, sl = _three_way_hashes(
+    f, s, sl = _three_way_hashes(
         get_app("T-AlexNet"), DESIGNS["Sh40"], dcl1_queue_depth=4
     )
-    assert b == s == sl
+    assert f == s == sl
 
 
 def _installed(sys_):
@@ -352,7 +338,7 @@ def _installed(sys_):
             if name in sys_.__dict__}
 
 
-def test_specialized_twins_engage_on_the_headline_config():
+def test_fused_handlers_engage_on_the_headline_config():
     """Guard against the identity tests passing vacuously: on the
     Sh40/T-AlexNet shape the fused handlers must actually be installed
     (a silent eligibility regression would quietly hand the headline
@@ -373,13 +359,12 @@ def test_specialized_twins_engage_on_the_headline_config():
     assert sys_._wf_issue.__func__ is GPUSystem._wf_issue
     assert sys_.dispatch_tier == "scalar"
     slow = GPUSystem(get_app("T-AlexNet"), DESIGNS["Sh40"],
-                     SimConfig(scale=0.05))
-    slow.force_slow_path()
+                     SimConfig(scale=0.05, sanitize=True))
     assert _installed(slow) == {}
     assert slow.dispatch_tier == "slow"
 
 
-def test_specialized_twins_decline_on_clustered_shape():
+def test_fused_handlers_decline_on_clustered_shape():
     """Only the fused shape installs fused handlers: every other design
     (Sh40 with Q1 credits, which the fusion elides, and a shadow-shuffled
     Sh40 run, which SimRace's confirmer must replay on the scalar

@@ -5,12 +5,16 @@ runner-level cache accounting."""
 from __future__ import annotations
 
 import multiprocessing
+from collections import OrderedDict
 
 import pytest
 
+import repro.sim.system as system_mod
 from repro.experiments.base import BASELINE, PROPOSED_DESIGNS, Runner
 from repro.experiments.registry import run_experiment
 from repro.sim.config import SimConfig
+from repro.sim.system import simulate
+from repro.workloads.suite import get_app
 
 SCALE = 0.05
 BOOST = PROPOSED_DESIGNS[-1]
@@ -123,6 +127,31 @@ class TestRunMany:
         runner = fresh_runner()
         runner.run_many([("C-BLK", BASELINE)], jobs=4)
         assert runner.sweep_paths == {"serial": 1}
+
+    def test_serial_misses_generate_each_workload_once(self, monkeypatch):
+        # Serial misses read the per-process stream LRU, as fleet workers
+        # do: one application on three designs generates its streams
+        # once, and every result equals a cache-free simulate() run.
+        designs = [BASELINE, PROPOSED_DESIGNS[1], BOOST]
+        expected = [
+            simulate(get_app("C-BLK"), spec, SimConfig(scale=SCALE)).fingerprint()
+            for spec in designs
+        ]
+        generated = []
+        real = system_mod.generate_workload
+
+        def counting(profile, *args, **kwargs):
+            generated.append(profile.name)
+            return real(profile, *args, **kwargs)
+
+        monkeypatch.setattr(system_mod, "_STREAM_CACHE", OrderedDict(),
+                            raising=False)
+        monkeypatch.setattr(system_mod, "generate_workload", counting)
+        runner = fresh_runner()
+        results = runner.run_many([("C-BLK", spec) for spec in designs], jobs=1)
+        assert runner.sweep_paths == {"serial": 1}
+        assert generated == ["C-BLK"]
+        assert [r.fingerprint() for r in results] == expected
 
 
 class TestDiskCacheIntegration:

@@ -101,6 +101,6 @@ class TestTraceOnFusedShape(_TracedRunChecks):
                                                    shared_profile):
         system = GPUSystem(shared_profile, DesignSpec.shared(8), tiny_config)
         trace = RequestTrace.attach(system)
-        system.force_slow_path()
+        system.force_scalar_dispatch()
         res = system.run()
         assert len(trace) == res.loads
