@@ -68,10 +68,11 @@ profile:
 # benchmarks/results/engine.txt and machine-readably in
 # benchmarks/results/engine.json (the CI perf-regression baseline —
 # commit the refreshed json to re-baseline).  First the perfbench
-# self-test, a short grid-warm replay through the disk cache and a short
-# fused-sh40 run (the fused Sh40 handlers on all five apps), each checked
-# against perfbench/reference.json (run.py exits 0 even when points
-# fail, so the last line's "correct" flag is the verdict).
+# self-test, a short grid-warm replay through the disk cache and short
+# fused-sh40 and design-mix runs (the fused handlers on all five apps),
+# each checked against perfbench/reference.json (run.py exits 0 even
+# when points fail, so the last line's "correct" flag is the verdict),
+# then a profile of the paper's headline design.
 perf-smoke:
 	$(PYTHON) perfbench/selftest.py
 	$(PYTHON) perfbench/run.py --workload grid-warm --seed 0 --seconds 1 --trace 0 \
@@ -83,6 +84,7 @@ perf-smoke:
 	$(PYTHON) perfbench/run.py --workload design-mix --seed 0 --seconds 1 --trace 0 \
 		| tail -n 1 \
 		| $(PYTHON) -c "import json, sys; r = json.loads(sys.stdin.read()); print('design-mix:', r['failed'], 'of', r['attempted'], 'points failed'); sys.exit(0 if r['correct'] else 1)"
+	PYTHONPATH=src $(PYTHON) -m repro.cli profile --app T-AlexNet --design Sh40+C10+Boost --scale 0.1 --top 6
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_engine.py -q
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_sweep.py -q
 

@@ -49,7 +49,7 @@ time**, never per event:
   counter and flushes the counter back in a ``finally`` — exceptions
   (budget, stall) never lose the count, and a bucket interrupted
   mid-drain re-queues its unprocessed remainder so no event is lost.
-* Both loops call one callback per event.  The fused Sh40 handlers of
+* Both loops call one callback per event.  The fused handlers of
   :mod:`repro.sim.system` are plain callbacks to the engine; they push
   their follow-on events straight into ``_heap`` and ``_buckets``
   (:meth:`schedule`'s append, validation elided), so the bucket layout

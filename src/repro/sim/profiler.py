@@ -10,7 +10,7 @@ a bit-identical :meth:`~repro.sim.results.SimResult.fingerprint` — the
 profiler observes, it never steers.
 
 Handler keys are the underlying functions (``__func__`` of the bound
-methods the system schedules, or the function itself for the fused Sh40
+methods the system schedules, or the function itself for the fused
 closures), so all events of one handler aggregate into one row
 regardless of which payload they carried.  A profiled run calls the same
 handlers as an unprofiled one, so the table measures the production

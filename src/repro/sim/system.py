@@ -41,10 +41,14 @@ the fast/slow split once, at build time:
 * Result counters are batched into plain integer attributes and flushed
   once, in ``_collect`` — nothing reads them mid-run (the live audit
   inspects structural state only).
-* Every design drains on scalar dispatch, except the single-cluster
-  Sh40 shape: there ``_make_fused_handlers`` builds fused per-event
-  closures that replace ``_wf_issue``, ``_l1_access`` and ``_complete``
-  on the instance.  ``dispatch_tier`` names the tier taken.
+* Every uninstrumented design drains on fused dispatch:
+  ``_make_fused_handlers`` builds per-event closures that replace the
+  request lifecycle's six hottest handlers (``_FUSED_HANDLERS``, the
+  load miss path included) on the instance, and ``run()`` drops them
+  again so no reference cycle outlives the run.  The scalar handlers
+  stay as the differential reference and as the production path for
+  the features the fusion declines.  ``dispatch_tier`` names the tier
+  taken.
 
 Every specialization preserves arithmetic exactly; the fingerprint
 identity of fast vs. instrumented runs is enforced by
@@ -67,7 +71,7 @@ from typing import List, Optional, Tuple, Union
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.directory import ReplicationDirectory
-from repro.cache.mshr import MSHRFile
+from repro.cache.mshr import MSHREntry, MSHRFile
 from repro.core.clusters import ClusterGeometry
 from repro.core.designs import DesignKind, DesignSpec
 from repro.core.home import HomeMapper
@@ -95,8 +99,10 @@ _STORE = int(AccessKind.STORE)
 _ATOMIC = int(AccessKind.ATOMIC)
 _BYPASS = int(AccessKind.BYPASS)
 
-# The scalar handlers the fused Sh40 closures replace on the instance.
-_FUSED_HANDLERS = ("_wf_issue", "_l1_access", "_complete")
+# The scalar handlers the fused closures replace on the instance.
+_FUSED_HANDLERS = (
+    "_wf_issue", "_l1_access", "_complete", "_at_l2", "_dram_fill", "_l1_fill",
+)
 
 
 class GPUSystem:
@@ -200,9 +206,7 @@ class GPUSystem:
         # methods: drop the fused handlers a fused wiring installed over
         # them, and no other instance attribute (a RequestTrace wraps
         # _complete the same way).
-        if getattr(self, "dispatch_tier", None) == "fused":
-            for name in _FUSED_HANDLERS:
-                del self.__dict__[name]
+        self._drop_fused()
         # The slow twins are wired exactly when a ledger is attached.
         self._fast = self._ledger is None
         # Captures the sanitizer-checked wrapper when a ledger swapped it
@@ -244,13 +248,13 @@ class GPUSystem:
         self._rtt_sum = 0.0
         self._rtt_count = 0
         # SimVec fused dispatch (see docs/performance.md): the closures
-        # of _make_fused_handlers, installed over the scalar handlers
-        # only for the single-cluster shape on uninstrumented runs.  The
-        # scalar handlers are the ground truth the fused ones are checked
-        # against (force_scalar_dispatch), and a race_check run stays
-        # scalar because SimRace's confirmer replays the methods its
-        # static pass reads.  Every other design drains on scalar
-        # dispatch.  Must resolve last: the closures capture the pool
+        # of _make_fused_handlers, installed over the scalar handlers on
+        # every uninstrumented shape they mirror.  The scalar handlers
+        # are the ground truth the fused ones are checked against
+        # (force_scalar_dispatch) and the production path for the
+        # features the fusion declines; a race_check run stays scalar
+        # because SimRace's confirmer replays the methods its static
+        # pass reads.  Must resolve last: the closures capture the pool
         # rebuilt above.
         fused = None
         if self._fast and not self._force_scalar and not self.cfg.race_check:
@@ -259,13 +263,24 @@ class GPUSystem:
             # Instance attributes shadow the methods, so every
             # ``self.schedule(..., self._wf_issue, ...)`` site of the
             # scalar code schedules the fused handler too.
-            self._wf_issue, self._l1_access, self._complete = fused  # type: ignore[method-assign]
+            handlers, self._release_fused = fused
+            self.__dict__.update(zip(_FUSED_HANDLERS, handlers))
         # The tier this wiring drains on, profiled or not
-        # ("slow" / "scalar" / "fused"); the next re-wiring reads it.
+        # ("slow" / "scalar" / "fused").
         if not self._fast:
             self.dispatch_tier = "slow"
         else:
             self.dispatch_tier = "scalar" if fused is None else "fused"
+
+    def _drop_fused(self) -> None:
+        """Uninstall the fused handlers, if any, and break the reference
+        cycle they form with the system (the closures capture it), so a
+        dropped or finished system is freed without the cycle collector."""
+        release = self.__dict__.pop("_release_fused", None)
+        if release is not None:
+            for name in _FUSED_HANDLERS:
+                del self.__dict__[name]
+            release()
 
     def force_scalar_dispatch(self) -> None:
         """Re-wire with SimVec fused dispatch disabled: the fast wiring
@@ -475,6 +490,7 @@ class GPUSystem:
                 f"simulation drained with {self.outstanding} requests outstanding"
             )
         self._collect()
+        self._drop_fused()
         self.result.wall_time_s = wall
         self.result.events_per_s = (
             self.engine.events_processed / wall if wall > 0 else 0.0
@@ -611,98 +627,147 @@ class GPUSystem:
     # ---------------------------------------------------- SimVec fused handlers
 
     def _make_fused_handlers(self):
-        """Build fused per-event handlers for the single-cluster decoupled
-        fast shape (the paper's ShY family at Z = 1, credits/filters off,
-        LRU, interleaved homes — what the headline Sh40 runs are), or
-        ``None`` when any feature the fusion elides is active.  Called
-        only on fast wiring with fused dispatch enabled.
+        """Build fused per-event handlers for every uninstrumented shape
+        they mirror bit for bit, or ``None`` when a feature the fusion
+        elides is active (Q1 credits, bypass filters, a non-LRU L1 or L2
+        policy, uneven cache or MSHR geometry, ``bits`` homes, perfect
+        L1s).  Called only on fast wiring with fused dispatch enabled.
 
-        Returns the replacements for ``_wf_issue``, ``_l1_access`` and
-        ``_complete``, named after them (``repro profile`` prints their
-        qualnames).  Each fuses its handler's whole pipeline — stream
-        advance, issue-port reservation, NoC#1 hop, cache probe, reply
-        hop and the event push — with every per-design decision resolved
-        here, at wiring time.  Each inlined block mirrors its canonical
-        twin statement for statement:
+        The shapes are every decoupled design at any cluster count (ShY,
+        ShY+CZ with or without Boost, PrY, SingleL1) and the coupled
+        private-L1 designs (Baseline, CDXBar).  Returns ``(handlers,
+        release)``: ``handlers`` replace the scalar methods named in
+        ``_FUSED_HANDLERS``, in that order, and are named after them
+        (``repro profile`` prints their qualnames); ``release()`` drops
+        every reference the closures hold to the system and to one
+        another, so a finished system is freed by reference counting.
 
-        * port reservations — ``Server.reserve_fast``;
-        * crossbar hops — ``Crossbar.traverse_fast`` (request flits are
-          always 1, so the ``service * flits`` multiply is elided there;
-          bit-exact under IEEE-754);
+        Each handler fuses its event's whole pipeline, with every
+        per-design decision resolved here, at wiring time.  Per-core and
+        per-node NoC#1 ports are flattened into lists (the request
+        in-port of core ``c``, the request out-port of node ``h``, the
+        reply ports, each core's crossbars for ``flit_hops``) and the
+        home is ``(c // n) * m + line % m`` (``m == 1`` gives PrY's
+        ``c // n``), so no per-event code branches on the cluster count.
+        Coupled designs have no NoC#1: the L1 index is the core, and a
+        hit completes at the bank's completion time.  Each inlined block
+        mirrors its canonical twin statement for statement:
+
+        * port reservations — ``Server.reserve_fast`` (a ``size`` of 1
+          is elided from the multiply; bit-exact under IEEE-754);
+        * NoC#1 issue and hit hops — ``Crossbar.traverse_fast`` (the
+          request is one flit, elided the same way); fill replies and
+          NoC#2 hops stay calls to the ``make_fast_routes`` closures,
+          and memory-channel reservations calls to
+          ``MemoryController.access``, with no owner: the
+          ``Server.holder`` mirror is read only by the watchdog's wait
+          graph, and only slow wiring has a watchdog;
         * home lookup — the ``interleave`` branch of
-          ``HomeMapper.make_fast_home_of`` with the Z = 1 cluster term
-          dropped (``core_id // n * m == 0``);
-        * cache probe — ``SetAssociativeCache.access_load`` with the
-          LRU set's ``OrderedDict`` addressed directly;
-        * event pushes — ``Engine.schedule``'s bucket append, pushing
-          the fused handlers themselves.  The validation branch is
-          vacuous here: every push time sits at the far end of a
-          strictly-positive occupancy chain starting at ``now``, so it
-          is finite and never in the past.
+          ``HomeMapper.make_fast_home_of``;
+        * cache probes and installs — ``SetAssociativeCache.access_load``
+          and ``install`` with the LRU set's ``OrderedDict`` addressed
+          directly, the L1 replication directory's ``held_elsewhere``,
+          ``on_evict`` and ``on_install`` included; the L2 install is
+          ``L2Slice.install`` with its dirty-victim write-back charged
+          at once (``_charge_writebacks``; nothing else is ever pending
+          when a fill lands);
+        * MSHR files — ``MSHRFile.allocate`` (new, merged, stalled) and
+          ``release``;
+        * event pushes — ``Engine.schedule``'s bucket append, pushing the
+          fused handlers themselves.  The validation branch is vacuous
+          here: every push time sits at the far end of a non-negative
+          occupancy chain starting at ``now``, so it is finite and never
+          in the past.
 
         Equivalence with the scalar handlers is enforced by the SimVec
         differential confirmer (``force_scalar_dispatch``) and the
-        fingerprint-identity tests.  The one shape the fusion does not
-        handle, an issue whose next access is not a LOAD or whose stream
-        is exhausted, goes to the scalar ``_wf_issue`` before any state
-        changes.
+        fingerprint-identity tests.  What the fusion does not handle goes
+        to the scalar method before any state changes: an issue whose
+        next access is not a LOAD or whose stream is exhausted, and an
+        L2 access that is not a LOAD.  MSHR stall replays
+        (``_drain_l1_stalls``, ``_drain_l2_stalls``) and non-LOAD L2
+        replies stay scalar; they reach the fused handlers through the
+        instance attributes.
         """
-        if not self.decoupled:
-            return None
         if self._node_credits is not None or self.l1_filters is not None:
             return None
-        geo = self.geometry
-        topo = self.topo
-        if len(topo.noc1_req) != 1 or geo.cores_per_cluster != topo.num_cores:
+        if self.decoupled and self.home.strategy != "interleave":
             return None
-        if self.home.strategy != "interleave":
-            return None
-        c0 = self.l1_caches[0]
-        for c in self.l1_caches:
-            if (
-                c.perfect
-                or c.policy_name != "lru"
-                or c.index_divisor != c0.index_divisor
-                or c._set_mask != c0._set_mask
-            ):
+        l2_slices = self.l2_slices
+        l2_caches = [s.cache for s in l2_slices]
+        l2_mshrs = [s.mshr for s in l2_slices]
+
+        def shape(c):
+            return (c.perfect, c.policy_name, c.index_divisor, c._set_mask, c.assoc)
+
+        l1_geo = [shape(c) for c in self.l1_caches]
+        l2_geo = [shape(c) for c in l2_caches]
+        l1_mshr_geo = [(f.num_entries, f.max_merged) for f in self.l1_mshrs]
+        l2_mshr_geo = [(f.num_entries, f.max_merged) for f in l2_mshrs]
+        for shapes in (l1_geo, l2_geo, l1_mshr_geo, l2_mshr_geo):
+            if shapes.count(shapes[0]) != len(shapes):
                 return None
+        if l1_geo[0][:2] != (False, "lru") or l2_geo[0][:2] != (False, "lru"):
+            return None
+        _, _, div, smask, assoc = l1_geo[0]
+        _, _, l2_div, l2_mask, l2_assoc = l2_geo[0]
+        l1_cap, l1_merge = l1_mshr_geo[0]
+        l2_cap, l2_merge = l2_mshr_geo[0]
+        strip = div > 1
 
         sysm = self
         eng = self.engine
         heap = eng._heap
         buckets = eng._buckets
         hpush = _heappush
-        m = geo.dcl1_per_cluster
         line_bits = self._line_bits
         num_l2 = self._num_l2_slices
         spc = self._slices_per_chan
         req_bytes = self._request_bytes
         load = _LOAD
         store = _STORE
+        new_entry = MSHREntry
         # Built once per wiring, outside the per-event bodies.
         ports = [c.issue_port for c in self.cores]
         cores_list = self.cores
         pool = self._req_pool
-        l1_miss = self._l1_miss
-        at_l2_cb = self._at_l2
-        # The scalar method: _wire_hot_path installs the closures below
-        # over it only after this returns.
-        scalar_issue = self._wf_issue
-        req_xb = topo.noc1_req[0]
-        qin = req_xb._in
-        qout = req_xb._out
-        rep_xb = topo.noc1_rep[0]
-        rin = rep_xb._in
-        rout = rep_xb._out
-        reply_flits = self._noc1_reply_flits
         caches = self.l1_caches
         banks = self.l1_banks
-        div = c0.index_divisor
-        strip = div > 1
-        smask = c0._set_mask
+        l1_mshrs = self.l1_mshrs
+        directory = self.l1_directory
+        dir_holders = directory._holders
+        l2_banks = self.l2_banks
+        mcs = self.mcs
+        rt_dcl1_to_core = self._rt_dcl1_to_core
         rt_to_l2 = self._rt_to_l2
+        rt_from_l2 = self._rt_from_l2
         req_flits = self._req_flits
         line_flits = self._line_flits
+        reply_flits = self._noc1_reply_flits
+        coupled = not self.decoupled
+        if coupled:
+            m = 1
+            home_base = qin = qout = rin = rout = req_xbs = rep_xbs = None
+        else:
+            geo = self.geometry
+            n, m = geo.cores_per_cluster, geo.dcl1_per_cluster
+            noc1_req, noc1_rep = self.topo.noc1_req, self.topo.noc1_rep
+            cores = range(len(self.cores))
+            nodes = range(geo.num_dcl1)
+            home_base = [(c // n) * m for c in cores]
+            req_xbs = [noc1_req[c // n] for c in cores]
+            rep_xbs = [noc1_rep[c // n] for c in cores]
+            qin = [noc1_req[c // n]._in[c % n] for c in cores]
+            rout = [noc1_rep[c // n]._out[c % n] for c in cores]
+            qout = [noc1_req[h // m]._out[h % m] for h in nodes]
+            rin = [noc1_rep[h // m]._in[h % m] for h in nodes]
+        # The scalar methods: _wire_hot_path installs the closures below
+        # over them only after this returns.
+        scalar_issue = self._wf_issue
+        scalar_at_l2 = self._at_l2
+        reply_from_l2 = self._reply_from_l2
+        drain_l1_stalls = self._drain_l1_stalls
+        drain_l2_stalls = self._drain_l2_stalls
 
         def _wf_issue(wf):
             if wf.done or wf._kinds[wf.pc] != load:
@@ -740,7 +805,6 @@ class GPUSystem:
             else:
                 req = MemoryRequest(0, load, req_bytes, 0)
             l2 = line % num_l2
-            home = line % m
             req.addr = line << line_bits
             req.kind = load
             req.core_id = c
@@ -749,7 +813,6 @@ class GPUSystem:
             req.line = line
             req.l2_id = l2
             req.mc_id = l2 // spc
-            req.dcl1_id = home
             sysm.outstanding += 1
             sysm._n_loads += 1
             wf.outstanding += 1
@@ -765,24 +828,29 @@ class GPUSystem:
                 else:
                     b.append(_wf_issue)
                     b.append(wf)
-            # NoC#1 request hop, one flit (Crossbar.traverse_fast).
-            p = qin[c]
-            nf = p.next_free
-            sx = t if t > nf else nf
-            occ = p.service
-            p.next_free = sx + occ
-            p.busy_cycles += occ
-            p.num_served += 1
-            t1 = sx + occ + p.latency
-            p = qout[home]
-            nf = p.next_free
-            sx = t1 if t1 > nf else nf
-            occ = p.service
-            p.next_free = sx + occ
-            p.busy_cycles += occ
-            p.num_served += 1
-            req_xb.flit_hops += 1
-            arr = sx + occ + p.latency
+            if coupled:
+                arr = t
+            else:
+                home = home_base[c] + line % m
+                req.dcl1_id = home
+                # NoC#1 request hop, one flit (Crossbar.traverse_fast).
+                p = qin[c]
+                nf = p.next_free
+                sx = t if t > nf else nf
+                occ = p.service
+                p.next_free = sx + occ
+                p.busy_cycles += occ
+                p.num_served += 1
+                t1 = sx + occ + p.latency
+                p = qout[home]
+                nf = p.next_free
+                sx = t1 if t1 > nf else nf
+                occ = p.service
+                p.next_free = sx + occ
+                p.busy_cycles += occ
+                p.num_served += 1
+                req_xbs[c].flit_hops += 1
+                arr = sx + occ + p.latency
             key = (arr, 0)
             b = buckets.get(key)
             if b is None:
@@ -793,8 +861,8 @@ class GPUSystem:
                 b.append(req)
 
         def _l1_access(req):
-            idx = req.dcl1_id
-            # DC-L1 bank reservation (Server.reserve_fast).
+            idx = req.core_id if coupled else req.dcl1_id
+            # L1 bank reservation (Server.reserve_fast).
             now = eng.now
             srv = banks[idx]
             nf = srv.next_free
@@ -808,31 +876,34 @@ class GPUSystem:
             if req.kind == load:
                 line = req.line
                 # SetAssociativeCache.access_load over the LRU set.
-                od = cache._sets[
-                    ((line // div) & smask) if strip else (line & smask)
-                ]._order
+                od = cache._sets[((line // div) & smask) if strip else (line & smask)]._order
+                stats = cache.stats
                 if line in od:
                     od.move_to_end(line)
-                    cache.stats.load_hits += 1
+                    stats.load_hits += 1
                     req.l1_hit = True
-                    # NoC#1 reply hop (Crossbar.traverse_fast).
-                    p = rin[idx]
-                    nf = p.next_free
-                    sx = t if t > nf else nf
-                    occ = p.service * reply_flits
-                    p.next_free = sx + occ
-                    p.busy_cycles += occ
-                    p.num_served += 1
-                    t1 = sx + occ + p.latency
-                    p = rout[req.core_id]
-                    nf = p.next_free
-                    sx = t1 if t1 > nf else nf
-                    occ = p.service * reply_flits
-                    p.next_free = sx + occ
-                    p.busy_cycles += occ
-                    p.num_served += 1
-                    rep_xb.flit_hops += reply_flits
-                    t2 = sx + occ + p.latency
+                    if coupled:
+                        t2 = t
+                    else:
+                        # NoC#1 reply hop (Crossbar.traverse_fast).
+                        c = req.core_id
+                        p = rin[idx]
+                        nf = p.next_free
+                        sx = t if t > nf else nf
+                        occ = p.service * reply_flits
+                        p.next_free = sx + occ
+                        p.busy_cycles += occ
+                        p.num_served += 1
+                        t1 = sx + occ + p.latency
+                        p = rout[c]
+                        nf = p.next_free
+                        sx = t1 if t1 > nf else nf
+                        occ = p.service * reply_flits
+                        p.next_free = sx + occ
+                        p.busy_cycles += occ
+                        p.num_served += 1
+                        rep_xbs[c].flit_hops += reply_flits
+                        t2 = sx + occ + p.latency
                     key = (t2, 0)
                     b = buckets.get(key)
                     if b is None:
@@ -841,31 +912,201 @@ class GPUSystem:
                     else:
                         b.append(_complete)
                         b.append(req)
-                else:
-                    # access_load's miss branch, directory included
-                    # (replication-ratio metric; shared DC-L1 levels
-                    # always carry one).
-                    stats = cache.stats
-                    stats.load_misses += 1
-                    d = cache.directory
-                    if d is not None and d.held_elsewhere(line, cache.cache_id):
-                        stats.replicated_misses += 1
-                    l1_miss(req, t, idx)
+                    return
+                # access_load's miss branch: the directory's held_elsewhere
+                # (replication-ratio metric; every L1 level carries one).
+                stats.load_misses += 1
+                holders = dir_holders.get(line)
+                if holders and (idx not in holders or len(holders) > 1):
+                    stats.replicated_misses += 1
+                # _l1_miss: MSHRFile.allocate; only a new entry goes on.
+                mshr = l1_mshrs[idx]
+                entries = mshr._entries
+                entry = entries.get(line)
+                if entry is not None and len(entry.waiters) < l1_merge:
+                    entry.waiters.append(req)
+                    mshr.secondary_misses += 1
+                    req.merged = True
+                    return
+                if entry is not None or len(entries) >= l1_cap:
+                    # Stalled: _l1_fill's stall replay re-injects it.
+                    mshr.stalled.append(req)
+                    mshr.stall_events += 1
+                    return
+                entry = new_entry(line)
+                entry.waiters.append(req)
+                entries[line] = entry
+                mshr.primary_misses += 1
+                if len(entries) > mshr.peak_occupancy:
+                    mshr.peak_occupancy = len(entries)
+                flits = 1
             else:
                 # STORE: write-evict + no-write-allocate, always to L2 —
                 # same statements as the scalar handler's branch.
                 hit = cache.access_store(req.line)
                 req.l1_hit = hit
                 flits = req_flits + (line_flits if hit else 0)
-                t2 = rt_to_l2(t, idx, req.l2_id, flits)
+            t2 = rt_to_l2(t, idx, req.l2_id, flits)
+            key = (t2, 0)
+            b = buckets.get(key)
+            if b is None:
+                buckets[key] = [_at_l2, req]
+                hpush(heap, key)
+            else:
+                b.append(_at_l2)
+                b.append(req)
+
+        def _at_l2(req):
+            if req.kind != load:
+                # STORE, ATOMIC or BYPASS: the scalar handler, before any
+                # state changes.
+                scalar_at_l2(req)
+                return
+            s = req.l2_id
+            # L2 bank reservation (Server.reserve_fast).
+            now = eng.now
+            srv = l2_banks[s]
+            nf = srv.next_free
+            start = now if now > nf else nf
+            occ = srv.service
+            srv.next_free = start + occ
+            srv.busy_cycles += occ
+            srv.num_served += 1
+            t = start + occ + srv.latency
+            line = req.line
+            cache = l2_caches[s]
+            od = cache._sets[(line // l2_div) & l2_mask]._order
+            if line in od:
+                od.move_to_end(line)
+                cache.stats.load_hits += 1
+                req.l2_hit = True
+                # _reply_from_l2 for a LOAD: the line rides NoC#2 to the
+                # L1 level, whose fill installs before same-cycle access.
+                t2 = rt_from_l2(t, s, req.core_id if coupled else req.dcl1_id, line_flits)
+                key = (t2, -1)
+                b = buckets.get(key)
+                if b is None:
+                    buckets[key] = [_l1_fill, req]
+                    hpush(heap, key)
+                else:
+                    b.append(_l1_fill)
+                    b.append(req)
+                return
+            cache.stats.load_misses += 1
+            # MSHRFile.allocate; only a new entry goes on to DRAM.
+            mshr = l2_mshrs[s]
+            entries = mshr._entries
+            entry = entries.get(line)
+            if entry is not None and len(entry.waiters) < l2_merge:
+                entry.waiters.append(req)
+                mshr.secondary_misses += 1
+                req.merged = True
+                return
+            if entry is not None or len(entries) >= l2_cap:
+                # Stalled: _dram_fill's stall replay re-injects it.
+                mshr.stalled.append(req)
+                mshr.stall_events += 1
+                return
+            entry = new_entry(line)
+            entry.waiters.append(req)
+            entries[line] = entry
+            mshr.primary_misses += 1
+            if len(entries) > mshr.peak_occupancy:
+                mshr.peak_occupancy = len(entries)
+            # No owner: the holder mirror is the watchdog's.
+            t2 = mcs[req.mc_id].access(t, line)
+            sysm._n_dram_accesses += 1
+            key = (t2, -1)
+            b = buckets.get(key)
+            if b is None:
+                buckets[key] = [_dram_fill, req]
+                hpush(heap, key)
+            else:
+                b.append(_dram_fill)
+                b.append(req)
+
+        def _dram_fill(req):
+            now = eng.now
+            s = req.l2_id
+            line = req.line
+            # L2Slice.install: LRU install tracking dirty victims.
+            cache = l2_caches[s]
+            od = cache._sets[(line // l2_div) & l2_mask]._order
+            if line in od:
+                od.move_to_end(line)
+            else:
+                if len(od) >= l2_assoc:
+                    victim = od.popitem(last=False)[0]
+                    cache.stats.evictions += 1
+                    slice_ = l2_slices[s]
+                    dirty = slice_._dirty
+                    if victim in dirty:
+                        dirty.discard(victim)
+                        slice_.writebacks += 1
+                        # _charge_writebacks: fire-and-forget DRAM write.
+                        mcs[s // spc].access(now, victim)
+                        sysm._n_dram_writebacks += 1
+                od[line] = None
+                cache.stats.installs += 1
+            mshr = l2_mshrs[s]
+            for w in mshr._entries.pop(line).waiters:
+                if w.kind == load:
+                    t2 = rt_from_l2(now, s, w.core_id if coupled else w.dcl1_id, line_flits)
+                    key = (t2, -1)
+                    b = buckets.get(key)
+                    if b is None:
+                        buckets[key] = [_l1_fill, w]
+                        hpush(heap, key)
+                    else:
+                        b.append(_l1_fill)
+                        b.append(w)
+                else:
+                    # A BYPASS fill: the scalar reply path.
+                    reply_from_l2(w, now)
+            if mshr.stalled:
+                drain_l2_stalls(s, now)
+
+        def _l1_fill(req):
+            now = eng.now
+            idx = req.core_id if coupled else req.dcl1_id
+            line = req.line
+            # SetAssociativeCache.install with the directory bookkeeping.
+            cache = caches[idx]
+            od = cache._sets[((line // div) & smask) if strip else (line & smask)]._order
+            if line in od:
+                od.move_to_end(line)
+            else:
+                stats = cache.stats
+                if len(od) >= assoc:
+                    victim = od.popitem(last=False)[0]
+                    stats.evictions += 1
+                    holders = dir_holders.get(victim)
+                    if holders is not None:
+                        holders.discard(idx)
+                        if not holders:
+                            del dir_holders[victim]
+                od[line] = None
+                stats.installs += 1
+                holders = dir_holders.get(line)
+                if holders is None:
+                    holders = dir_holders[line] = set()
+                holders.add(idx)
+                directory.install_samples += 1
+                directory.copies_sum += len(holders)
+            mshr = l1_mshrs[idx]
+            for w in mshr._entries.pop(line).waiters:
+                # _l1_reply: the NoC#1 hop when decoupled.
+                t2 = now if coupled else rt_dcl1_to_core(now, idx, w.core_id, reply_flits)
                 key = (t2, 0)
                 b = buckets.get(key)
                 if b is None:
-                    buckets[key] = [at_l2_cb, req]
+                    buckets[key] = [_complete, w]
                     hpush(heap, key)
                 else:
-                    b.append(at_l2_cb)
-                    b.append(req)
+                    b.append(_complete)
+                    b.append(w)
+            if mshr.stalled:
+                drain_l1_stalls(idx, now)
 
         def _complete(req):
             # _complete's fast body, with _schedule_issue's push inlined.
@@ -891,7 +1132,16 @@ class GPUSystem:
             req.wavefront = None
             pool.append(req)
 
-        return _wf_issue, _l1_access, _complete
+        def release():
+            nonlocal sysm, scalar_issue, scalar_at_l2, reply_from_l2
+            nonlocal drain_l1_stalls, drain_l2_stalls
+            nonlocal _wf_issue, _l1_access, _complete, _at_l2, _dram_fill, _l1_fill
+            sysm = scalar_issue = scalar_at_l2 = reply_from_l2 = None
+            drain_l1_stalls = drain_l2_stalls = None
+            _wf_issue = _l1_access = _complete = _at_l2 = _dram_fill = _l1_fill = None
+
+        handlers = (_wf_issue, _l1_access, _complete, _at_l2, _dram_fill, _l1_fill)
+        return handlers, release
 
     # ---------------------------------------------------------- node admission
 

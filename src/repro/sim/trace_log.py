@@ -14,7 +14,7 @@ before ``run()``::
 
 The trace wraps the system's ``_complete`` callback, so it needs no
 simulator support and composes with every design.  Attaching moves the
-system onto scalar dispatch (``force_scalar_dispatch``): the fused Sh40
+system onto scalar dispatch (``force_scalar_dispatch``): the fused
 handlers schedule completions straight into the engine and would bypass
 the wrapper.  Scalar and fused dispatch give bit-identical results.
 """

@@ -126,7 +126,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("design, production", [
         ("Sh40", "fused"),    # the fused handlers are profiled directly
-        ("Pr40", "scalar"),   # scalar dispatch is production
+        ("Pr40", "fused"),    # as is every other named design
     ])
     def test_profile_names_the_dispatch_tier(self, capsys, design, production):
         import json

@@ -179,3 +179,20 @@ def test_profile_simulation_trace_alloc_is_bit_identical():
     # ran should have an attribution entry.
     assert prof.alloc_bytes
     assert set(prof.alloc_bytes) == set(prof.counts)
+
+
+def test_declined_feature_profiles_the_scalar_tier():
+    """Every named design drains fused, so pin the scalar production tier
+    on a feature the fusion declines: with Q1 credits the profile names
+    the scalar tier and times the scalar handlers, no fused closure."""
+    from repro.core.designs import DesignSpec
+    from repro.sim.config import SimConfig
+    from repro.sim.profiler import profile_simulation
+    from repro.workloads.suite import get_app
+
+    _, prof = profile_simulation(get_app("P-2MM"), DesignSpec.shared(40),
+                                 SimConfig(scale=0.02, dcl1_queue_depth=4))
+    assert prof.production_tier == "scalar"
+    names = {row.handler for row in prof.rows()}
+    assert "GPUSystem._wf_issue" in names
+    assert not any("_make_fused_handlers" in name for name in names)

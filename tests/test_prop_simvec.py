@@ -2,17 +2,21 @@
 bit-invisible on *random* small workloads and designs, not just the
 hand-picked grid points in tests/test_simturbo.py.
 
-Every example runs the same (profile, design) config twice — once with
-its production wiring ("fused" in the test names), once with
-``force_scalar_dispatch()`` — and requires a single fingerprint.  Only
-the single-cluster shared design installs fused handlers; the others
-drain on scalar dispatch both times.  The
+Every example runs the same (profile, design, GPU) config twice — once
+with its production wiring ("fused" in the test names), once with
+``force_scalar_dispatch()`` — and requires a single fingerprint; a
+second property closes the loop against a sanitized run (the slow
+twins).  Every design in the strategy installs fused handlers.  The
 profile strategy deliberately spans the shapes the fused handlers
-branch on: stores/atomics/bypasses (the fused issue hands such accesses
-to the scalar ``_wf_issue``), MLP > 1 (the fused re-issue push), tiny
-streams (the exhausted-wavefront hand-off and CTA refills) and
-imbalance (ragged same-cycle buckets).
+branch on: stores/atomics/bypasses (the fused issue and L2 access hand
+such requests to the scalar methods), MLP > 1 (the fused re-issue
+push), tiny streams (the exhausted-wavefront hand-off and CTA refills)
+and imbalance (ragged same-cycle buckets).  The GPU strategy adds small
+MSHR files and a small L2, so merges, stall replays and dirty
+write-backs reach the fused miss path.
 """
+
+import dataclasses
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +27,15 @@ from repro.sim.system import GPUSystem, simulate
 from repro.workloads.profile import AppProfile
 
 TINY_GPU = GPUConfig(num_cores=8, num_l2_slices=4, num_channels=2)
+
+gpus = st.sampled_from(
+    [
+        TINY_GPU,
+        dataclasses.replace(
+            TINY_GPU, l1_mshr_entries=1, l2_mshr_entries=2, l2_slice_bytes=4096
+        ),
+    ]
+)
 
 designs = st.sampled_from(
     [
@@ -57,23 +70,21 @@ profiles = st.builds(
 
 
 class TestSimVecProperties:
-    @given(profiles, designs)
+    @given(profiles, designs, gpus)
     @settings(max_examples=40, deadline=None)
-    def test_fused_fingerprint_equals_scalar(self, profile, spec):
-        cfg = SimConfig(gpu=TINY_GPU)
+    def test_fused_fingerprint_equals_scalar(self, profile, spec, gpu):
+        cfg = SimConfig(gpu=gpu)
         fused = GPUSystem(profile, spec, cfg).run()
         scalar_sys = GPUSystem(profile, spec, cfg)
         scalar_sys.force_scalar_dispatch()
         scalar = scalar_sys.run()
         assert fused.fingerprint() == scalar.fingerprint()
 
-    @given(profiles)
+    @given(profiles, designs, gpus)
     @settings(max_examples=10, deadline=None)
-    def test_fused_fingerprint_equals_sanitized_on_shared(self, profile):
-        """Three-way anchor on the decoupled shape that engages the fused
-        handlers: fused == sanitized (the slow twins) closes the loop
-        scalar parity alone would leave open."""
-        spec = DesignSpec.shared(4)
-        fused = simulate(profile, spec, SimConfig(gpu=TINY_GPU))
-        slow = simulate(profile, spec, SimConfig(gpu=TINY_GPU, sanitize=True))
+    def test_fused_fingerprint_equals_sanitized(self, profile, spec, gpu):
+        """Three-way anchor: fused == sanitized (the slow twins) closes
+        the loop scalar parity alone would leave open."""
+        fused = simulate(profile, spec, SimConfig(gpu=gpu))
+        slow = simulate(profile, spec, SimConfig(gpu=gpu, sanitize=True))
         assert fused.fingerprint() == slow.fingerprint()

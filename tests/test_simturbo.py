@@ -16,13 +16,15 @@ Three layers of protection:
    not approximately.
 """
 
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 
 from repro.core.designs import DesignSpec
-from repro.sim.config import SimConfig
+from repro.sim.config import GPUConfig, SimConfig
 from repro.sim.profiler import profile_simulation
 from repro.sim.system import GPUSystem, simulate
 from repro.workloads.suite import get_app
@@ -53,7 +55,16 @@ DESIGNS = {
     "Pr40": DesignSpec.private(40),
     "Sh40+C10": DesignSpec.clustered(40, 10),
     "Sh40+C10+Boost": DesignSpec.clustered(40, 10, boost=2.0),
+    "CDXBar": DesignSpec.cdxbar(),
+    "SingleL1": DesignSpec.single_l1(),
 }
+
+# The scalar handlers fused dispatch replaces, and the qualname prefix
+# of the closures installed over them.
+FUSED_HANDLERS = (
+    "_wf_issue", "_l1_access", "_complete", "_at_l2", "_dram_fill", "_l1_fill",
+)
+FUSED = "GPUSystem._make_fused_handlers.<locals>."
 
 
 def fingerprint_hash(res) -> str:
@@ -99,11 +110,9 @@ def test_profiled_run_is_bit_identical_and_observes_everything():
     assert prof.production_tier == "fused"
     assert prof.total_events > 0
     names = {row.handler for row in prof.rows()}
-    fused = "GPUSystem._make_fused_handlers.<locals>."
-    assert fused + "_wf_issue" in names
-    assert fused + "_l1_access" in names
-    assert fused + "_complete" in names
-    assert "GPUSystem._wf_issue" not in names
+    for name in FUSED_HANDLERS:
+        assert FUSED + name in names
+        assert "GPUSystem." + name not in names
     assert prof.total_self_time >= 0.0
 
 
@@ -285,46 +294,86 @@ def test_wavefront_materializes_streams_to_plain_ints():
 # same fast wiring, but every event runs its scalar fast handler instead
 # of the fused handler installed over it.  Production ("fused"), scalar
 # and sanitized (slow) runs of one config must produce one fingerprint —
-# that identity is the fused handlers' whole contract.  Only the
-# single-cluster Sh40 shape installs fused handlers; every other design
-# drains on scalar dispatch, so its production run is a scalar run and
-# the point checks scalar == slow.
+# that identity is the fused handlers' whole contract.  Every design
+# installs fused handlers unless a feature the fusion declines is on
+# (Q1 credits here), in which case its production run is a scalar run
+# and the point checks scalar == slow.
+
+# Tiny MSHR files and a 4 KiB L2 slice: on C-SP at scale 0.05 every
+# design stalls on full MSHRs and writes dirty L2 victims back, the
+# fused miss-path branches no default-config point reaches.
+STRESS_GPU = GPUConfig(l2_slice_bytes=4096, l1_mshr_entries=1, l2_mshr_entries=2)
 
 
-def _three_way_hashes(app, spec, scale=0.1, **cfg_kw):
+def _three_way(app, spec, scale=0.1, **cfg_kw):
     cfg = SimConfig(scale=scale, **cfg_kw)
     fused = GPUSystem(app, spec, cfg).run()
     scalar_sys = GPUSystem(app, spec, cfg)
     scalar_sys.force_scalar_dispatch()
     scalar = scalar_sys.run()
     slow = simulate(app, spec, SimConfig(scale=scale, sanitize=True, **cfg_kw))
-    return (
+    return fused, (
         fingerprint_hash(fused), fingerprint_hash(scalar),
         fingerprint_hash(slow),
     )
 
 
+THREE_WAY = [
+    ("T-AlexNet", "Sh40", False),            # the headline fused shape
+    ("C-SP", "Sh40", False),                 # stores hand issues to scalar
+    ("T-AlexNet", "Baseline", False),        # coupled: no DC-L1 level
+    ("T-ResNet", "Pr40", False),             # private homes (M = 1)
+    ("C-SP", "Sh40+C10", False),             # clustered
+    ("T-AlexNet", "Sh40+C10", False),        # clustered, load-heavy
+    ("T-AlexNet", "Sh40+C10+Boost", False),  # Boost: faster NoC#1
+    ("P-2MM", "CDXBar", False),              # coupled, two-stage NoC#2
+    ("T-AlexNet", "SingleL1", False),        # one funnel node
+    ("C-SP", "Sh40", True),                  # stalls and write-backs
+    ("C-SP", "Sh40+C10+Boost", True),
+    ("C-SP", "Baseline", True),
+    ("C-SP", "Pr40", True),
+]
+
+
 @pytest.mark.parametrize(
-    "app_name, design",
-    [
-        ("T-AlexNet", "Sh40"),       # fused handlers engage
-        ("C-SP", "Sh40"),            # fused; stores hand issues to scalar
-        ("T-AlexNet", "Baseline"),   # coupled: no DC-L1 level
-        ("T-ResNet", "Pr40"),        # private homes
-        ("C-SP", "Sh40+C10"),        # clustered: scalar dispatch only
-        ("T-AlexNet", "Sh40+C10"),   # clustered, load-heavy
-    ],
+    "app_name, design, stress", THREE_WAY,
+    ids=[f"{a}-{d}" + ("-stress" if s else "") for a, d, s in THREE_WAY],
 )
-def test_fused_dispatch_matches_scalar_and_sanitized(app_name, design):
-    f, s, sl = _three_way_hashes(get_app(app_name), DESIGNS[design])
+def test_fused_dispatch_matches_scalar_and_sanitized(app_name, design, stress):
+    kw = {"scale": 0.05, "gpu": STRESS_GPU} if stress else {}
+    res, (f, s, sl) = _three_way(get_app(app_name), DESIGNS[design], **kw)
     assert f == s, f"fused != scalar on {app_name}/{design}"
     assert f == sl, f"fused != sanitized on {app_name}/{design}"
+    if stress:
+        assert res.mshr_stalls > 0 and res.dram_writebacks > 0
+
+
+def test_fused_merge_cap_stalls_match_scalar():
+    """No config merges ``max_merged`` (64) requests on one MSHR entry,
+    so cap every MSHR file of a built system at one waiter and re-wire
+    (the fused handlers read the cap at wiring time): the fused
+    merge-cap stalls must match the scalar ones."""
+    def run(scalar):
+        sys_ = GPUSystem(get_app("C-SP"), DESIGNS["Sh40+C10+Boost"],
+                         SimConfig(scale=0.05))
+        for mshr in sys_.l1_mshrs + [s.mshr for s in sys_.l2_slices]:
+            mshr.max_merged = 1
+        if scalar:
+            sys_.force_scalar_dispatch()
+        else:
+            sys_._wire_hot_path()
+            assert sys_.dispatch_tier == "fused"
+        return sys_.run()
+
+    fused, scalar = run(False), run(True)
+    assert fused.mshr_stalls > 0
+    assert fingerprint_hash(fused) == fingerprint_hash(scalar)
 
 
 def test_fused_dispatch_matches_scalar_with_q1_credits():
     # Finite node queues route issue through _enter_node; the fused
     # handlers must decline and scalar dispatch must still be bit-exact.
-    f, s, sl = _three_way_hashes(
+    _, (f, s, sl) = _three_way(
         get_app("T-AlexNet"), DESIGNS["Sh40"], dcl1_queue_depth=4
     )
     assert f == s == sl
@@ -334,8 +383,17 @@ def _installed(sys_):
     """The fused handlers installed on ``sys_`` (instance attributes that
     shadow the scalar methods), by name."""
     return {name: sys_.__dict__[name]
-            for name in ("_wf_issue", "_l1_access", "_complete")
-            if name in sys_.__dict__}
+            for name in FUSED_HANDLERS if name in sys_.__dict__}
+
+
+def _assert_fused(sys_):
+    fused = _installed(sys_)
+    assert sorted(fused) == sorted(FUSED_HANDLERS)
+    for name, handler in fused.items():
+        # the installed handler is the fused closure named after the
+        # scalar handler it replaces
+        assert handler.__qualname__ == FUSED + name
+    assert sys_.dispatch_tier == "fused"
 
 
 def test_fused_handlers_engage_on_the_headline_config():
@@ -345,15 +403,7 @@ def test_fused_handlers_engage_on_the_headline_config():
     benchmark back to the scalar path)."""
     sys_ = GPUSystem(get_app("T-AlexNet"), DESIGNS["Sh40"],
                      SimConfig(scale=0.05))
-    fused = _installed(sys_)
-    assert sorted(fused) == ["_complete", "_l1_access", "_wf_issue"]
-    for name, handler in fused.items():
-        # the installed handler is the fused closure named after the
-        # scalar handler it replaces
-        assert handler.__qualname__ == (
-            f"GPUSystem._make_fused_handlers.<locals>.{name}"
-        )
-    assert sys_.dispatch_tier == "fused"
+    _assert_fused(sys_)
     sys_.force_scalar_dispatch()
     assert _installed(sys_) == {}
     assert sys_._wf_issue.__func__ is GPUSystem._wf_issue
@@ -364,20 +414,52 @@ def test_fused_handlers_engage_on_the_headline_config():
     assert slow.dispatch_tier == "slow"
 
 
-def test_fused_handlers_decline_on_clustered_shape():
-    """Only the fused shape installs fused handlers: every other design
-    (Sh40 with Q1 credits, which the fusion elides, and a shadow-shuffled
-    Sh40 run, which SimRace's confirmer must replay on the scalar
-    methods) drains on scalar dispatch with no handler installed."""
-    cases = [
-        ("C-SP", "Sh40+C10", {}),
-        ("T-AlexNet", "Baseline", {}),
-        ("T-ResNet", "Pr40", {}),
-        ("T-AlexNet", "Sh40", {"dcl1_queue_depth": 4}),
-        ("T-AlexNet", "Sh40", {"race_check": True}),
-    ]
-    for app, design, cfg_kw in cases:
-        sys_ = GPUSystem(get_app(app), DESIGNS[design],
-                         SimConfig(scale=0.05, **cfg_kw))
-        assert _installed(sys_) == {}, (app, design, cfg_kw)
-        assert sys_.dispatch_tier == "scalar", (app, design, cfg_kw)
+@pytest.mark.parametrize("design", [
+    "Baseline", "Pr40", "Sh40", "Sh40+C10", "Sh40+C10+Boost", "CDXBar",
+    "SingleL1",
+])
+def test_fused_handlers_engage_on_every_fast_shape(design):
+    """Every named design, coupled or decoupled at any cluster count,
+    drains on the fused handlers by default."""
+    _assert_fused(GPUSystem(get_app("C-SP"), DESIGNS[design],
+                            SimConfig(scale=0.05)))
+
+
+@pytest.mark.parametrize("design, cfg_kw", [
+    pytest.param("Sh40", {"dcl1_queue_depth": 4}, id="q1-credits"),
+    pytest.param("Sh40", {"l1_bypass": True}, id="bypass-filters"),
+    pytest.param("Sh40+C10", {"l1_policy": "fifo"}, id="l1-fifo"),
+    pytest.param("Baseline", {"l2_policy": "fifo"}, id="l2-fifo"),
+    # Sh40+C10 has M = 4, a power of two.
+    pytest.param("Sh40+C10", {"home_strategy": "bits"}, id="bits-homes"),
+    pytest.param("Pr40 perfect", {}, id="perfect-l1"),
+    pytest.param("Sh40", {"race_check": True}, id="race-check"),
+])
+def test_fused_handlers_decline_on_elided_features(design, cfg_kw):
+    """A feature the fusion elides keeps the scalar handlers: Q1 credits,
+    bypass filters, FIFO policies, ``bits`` homes and perfect L1s, and a
+    shadow-shuffled run, which SimRace's confirmer must replay on the
+    scalar methods."""
+    spec = (DesignSpec.private(40, perfect_l1=True)
+            if design == "Pr40 perfect" else DESIGNS[design])
+    sys_ = GPUSystem(get_app("C-SP"), spec, SimConfig(scale=0.05, **cfg_kw))
+    assert _installed(sys_) == {}
+    assert sys_.dispatch_tier == "scalar"
+
+
+def test_finished_fused_system_is_freed_without_the_cycle_collector():
+    """run() drops the fused handlers and every reference they hold to
+    the system and to one another, so reference counting alone frees a
+    finished system; a leftover cycle would keep each one alive until
+    the cyclic GC ran."""
+    gc.disable()
+    try:
+        sys_ = GPUSystem(get_app("T-AlexNet"), DESIGNS["Sh40"],
+                         SimConfig(scale=0.02))
+        assert sys_.dispatch_tier == "fused"
+        ref = weakref.ref(sys_)
+        sys_.run()
+        del sys_
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -89,7 +89,7 @@ class TestTrace(_TracedRunChecks):
 
 
 class TestTraceOnFusedShape(_TracedRunChecks):
-    """shared(8) is the fused shape, whose fused handlers schedule
+    """shared(8) is a fused shape, whose fused handlers schedule
     completions straight into the engine: attaching must move the system
     to scalar dispatch, or most completions bypass the trace."""
 
